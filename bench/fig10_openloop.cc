@@ -20,12 +20,11 @@
  * set the total request count across tenants and load points
  * (default 1,050,000).
  *
- * Determinism: bit-identical across double runs and across
- * DAXVM_SIM_THREADS values (tools/check_sweep --threads N). Arrival
- * generation runs as per-tenant engine tasks in their own isolation
- * domains, so `--sim-threads` parallelizes phase 1 across host
- * shards; the service phase shares one domain (the tenants contend
- * for the same locks and devices, which demands exact ordering).
+ * Determinism: bit-identical across double runs (tools/check_sweep).
+ * Arrival generation runs as per-tenant engine tasks; the service
+ * phase steps every tenant's servers on the same engine (the tenants
+ * contend for the same locks and devices, which demands exact
+ * ordering).
  */
 #include <algorithm>
 #include <array>
@@ -189,13 +188,11 @@ main(int argc, char **argv)
                 system, specs[t], stream));
         }
 
-        // Phase 1: arrival synthesis, one isolation domain per
-        // tenant (parallel under --sim-threads), plus the YCSB
-        // preload in the shared domain.
+        // Phase 1: arrival synthesis, one task per tenant, plus the
+        // YCSB preload.
         for (std::size_t t = 0; t < tenants.size(); t++) {
             system.engine().addThread(tenants[t]->makeGenTask(),
-                                      static_cast<int>(t), 0,
-                                      /*domain=*/1 + static_cast<int>(t));
+                                      static_cast<int>(t));
             if (auto preload = tenants[t]->makePreloadTask())
                 system.engine().addThread(std::move(preload),
                                           static_cast<int>(t));

@@ -118,7 +118,7 @@ main(int argc, char **argv)
 
     std::printf("\n# monitor migrations: %llu (table->DRAM under random "
                 "access)\n",
-                (unsigned long long)system.dax()->stats().get(
+                (unsigned long long)system.metrics().counterValue(
                     "daxvm.monitor_migrations"));
     record(system);
     return finish();

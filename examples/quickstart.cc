@@ -49,7 +49,7 @@ main()
     process->munmap(cpu, mva, 1 << 20);
     std::printf("mmap():      %6.1f us (%llu page faults)\n",
                 static_cast<double>(cpu.now() - t0) / 1e3,
-                (unsigned long long)system.vmm().stats().get(
+                (unsigned long long)system.metrics().counterValue(
                     "vm.faults"));
 
     // --- daxvm_mmap: O(1) attach of pre-populated file tables --------

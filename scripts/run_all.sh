@@ -80,7 +80,7 @@ fi
 python3 scripts/bench_diff.py aggregate "$OUT" -o BENCH_results.json
 python3 scripts/bench_diff.py validate BENCH_results.json
 
-# Deterministic-merge guard (docs/engine.md): the aggregate must be a
+# Deterministic-merge guard: the aggregate must be a
 # pure function of the per-bench files — sorted bench order, sorted
 # keys — independent of completion order above. Re-aggregating must
 # reproduce it byte for byte.

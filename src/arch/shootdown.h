@@ -19,7 +19,6 @@
 #include "sim/cost_model.h"
 #include "sim/engine.h"
 #include "sim/metrics.h"
-#include "sim/stats.h"
 
 namespace dax::arch {
 
@@ -73,8 +72,6 @@ class ShootdownHub
      */
     void drainDisruption(sim::Cpu &cpu);
 
-    const sim::StatSet &stats() const { return stats_; }
-    sim::StatSet &stats() { return stats_; }
     sim::MetricsRegistry &metricsRegistry() { return *metrics_; }
 
     /** Invariant-check observer fired after each shootdown. */
@@ -93,7 +90,6 @@ class ShootdownHub
     sim::CheckHook *checkHook_ = nullptr;
     std::unique_ptr<sim::MetricsRegistry> ownedMetrics_;
     sim::MetricsRegistry *metrics_;
-    sim::StatSet stats_;
     /** Typed hot-path instruments (legacy names, see sim/metrics.h). */
     sim::Counter ipis_;
     sim::Counter ipiTargets_;

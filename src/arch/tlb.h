@@ -93,8 +93,8 @@ class Mmu
      * @param hostFastPaths enable the host-side walk cache. Purely a
      * host-time optimization: simulated cost/perf accounting is
      * computed from a WalkResult that is bit-identical either way
-     * (SystemConfig::hostFastPaths / DAXVM_HOST_FAST=0 is the escape
-     * hatch, proven by the golden-equivalence test).
+     * (SystemConfig::hostFastPaths is the escape hatch, proven by the
+     * golden-equivalence test).
      */
     explicit Mmu(const sim::CostModel &cm, bool hostFastPaths = true)
         : cm_(cm), fastPaths_(hostFastPaths)

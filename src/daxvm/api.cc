@@ -31,8 +31,7 @@ remapFixupTrampoline(void *ctx, sim::Cpu &cpu, fs::Ino ino,
 
 DaxVm::DaxVm(vm::VmManager &vmm, FileTableManager &tables)
     : vmm_(vmm), tables_(tables),
-      unmapper_(vmm.cm().asyncUnmapBatchPages),
-      stats_(vmm.metricsRegistry())
+      unmapper_(vmm.cm().asyncUnmapBatchPages)
 {
     tables_.setForceUnmap(&forceUnmapTrampoline, this);
     tables_.setRemapFixup(&remapFixupTrampoline, this);

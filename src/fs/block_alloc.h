@@ -24,7 +24,6 @@
 #include "fs/extent.h"
 #include "fs/extent_map.h"
 #include "fs/seg_pool.h"
-#include "sim/stats.h"
 #include "sim/time.h"
 
 namespace dax::sim {

@@ -24,7 +24,7 @@ FileSystem::FileSystem(Personality personality, mem::Device &pmem,
                         : std::make_unique<sim::MetricsRegistry>()),
       metrics_(metrics != nullptr ? metrics : ownedMetrics_.get()),
       alloc_(dataBytes / kBlockSize, dataBase, allocPolicy),
-      journal_(personality, cm), stats_(*metrics_)
+      journal_(personality, cm)
 {
     if (dataBase % kBlockSize != 0 || dataBytes % kBlockSize != 0)
         throw std::invalid_argument("fs region not block aligned");

@@ -31,7 +31,6 @@
 #include "sim/fault.h"
 #include "sim/locks.h"
 #include "sim/metrics.h"
-#include "sim/stats.h"
 
 namespace dax::fs {
 

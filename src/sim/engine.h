@@ -13,33 +13,14 @@
  *
  * Daemons (e.g. the DaxVM pre-zero thread) are threads that park when
  * idle and are woken by producers; they do not hold up termination.
- *
- * Parallel execution (docs/engine.md): threads are grouped into
- * *isolation domains* (addThread/addDaemon `domain` argument; default
- * kSharedDomain). Threads in the same domain may share any simulated
- * state and are always scheduled on one shard in exact min-clock
- * order. Threads in different domains promise to share no mutable
- * simulated state except engine-mediated wake()s, which are charged
- * the cross-shard lookahead latency. Under setParallelism(N>1) the
- * engine maps domains onto N shards, advances each shard independently
- * up to an epoch horizon (global min clock + lookahead) on its own
- * host thread, synchronizes at an epoch barrier, and exchanges
- * cross-domain wakes through deterministic per-shard inboxes drained
- * in (time, source shard, sequence) order. Output is bit-identical to
- * the sequential engine for any shard count.
+ * See docs/simulation.md for the wake and pruning rules.
  */
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/check_hook.h"
@@ -80,10 +61,8 @@ class Cpu
     /**
      * Safe horizon for pruning queueing state: the minimum virtual
      * time any future request can carry (see Engine::safeHorizon).
-     * Under parallel execution this is the owning shard's horizon;
-     * shards only prune state their own domain touches, so a shard-
-     * local bound is sufficient. Engineless scratch Cpus
-     * (single-threaded tests) use their own clock.
+     * Engineless scratch Cpus (single-threaded tests) use their own
+     * clock.
      */
     Time pruneHorizon() const;
 
@@ -135,19 +114,8 @@ class FnTask : public Task
 class Engine
 {
   public:
-    /** Domain of threads that may share any simulated state. */
-    static constexpr int kSharedDomain = 0;
-
-    /**
-     * Default cross-shard lookahead: the IPI base cost, the cheapest
-     * cross-core interaction in the cost model. sys::System installs
-     * CostModel::crossShardLookahead() instead.
-     */
-    static constexpr Time kDefaultLookahead = 1600;
-
     /** @param nCores cores available; threads are pinned round robin. */
     explicit Engine(unsigned nCores);
-    ~Engine();
 
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
@@ -157,25 +125,18 @@ class Engine
     /**
      * Add a worker thread running @p task, pinned to @p core (or round
      * robin when negative), starting its clock at @p startAt (for
-     * sequential measurement phases on one engine). @p domain selects
-     * the isolation domain (see file comment); the default shares
-     * state with everything.
+     * sequential measurement phases on one engine).
      * @return the thread id.
      */
     int addThread(std::unique_ptr<Task> task, int core = -1,
-                  Time startAt = 0, int domain = kSharedDomain);
+                  Time startAt = 0);
 
     /** Add a parked daemon thread (woken via wake()). */
-    int addDaemon(std::unique_ptr<Task> task, int core = -1,
-                  int domain = kSharedDomain);
+    int addDaemon(std::unique_ptr<Task> task, int core = -1);
 
     /**
-     * Wake a parked daemon, not before @p notBefore. From within a
-     * quantum of a *different* domain this is a cross-shard event: it
-     * is additionally charged the lookahead latency (the wake lands no
-     * earlier than the calling quantum's start + lookahead) and is
-     * delivered through the target shard's deterministic inbox. Same-
-     * domain wakes keep the classic immediate semantics.
+     * Wake a parked daemon, not before @p notBefore and not before the
+     * safe horizon (a stale @p notBefore is resynced forward).
      */
     void wake(int threadId, Time notBefore);
 
@@ -187,28 +148,6 @@ class Engine
      * @return makespan: the maximum clock among non-daemon threads.
      */
     Time run();
-
-    /**
-     * Host-parallel execution: shard domains across @p simThreads host
-     * threads, each advancing conservatively by @p lookaheadNs per
-     * epoch (clamped to >= 1 ns). 1 = the classic sequential loop
-     * (the reference implementation). Not callable from inside run().
-     */
-    void setParallelism(unsigned simThreads,
-                        Time lookaheadNs = kDefaultLookahead);
-
-    /** Configured host threads for run() (see setParallelism). */
-    unsigned simThreads() const { return simThreads_; }
-
-    /** Cross-shard lookahead in virtual ns (see setParallelism). */
-    Time lookaheadNs() const { return lookahead_; }
-
-    /** Shard a domain maps to under the current parallelism. */
-    unsigned
-    shardOf(int domain) const
-    {
-        return static_cast<unsigned>(domain) % simThreads_;
-    }
 
     /** Clock of a thread (valid after run() too). */
     Time threadClock(int threadId) const;
@@ -226,14 +165,11 @@ class Engine
     /**
      * Install an invariant-check observer fired after every quantum
      * (nullptr disables). Owned by the caller; used by check::Oracle.
-     * Under parallel execution the hook fires on the stepping shard's
-     * host thread; a System (one shared domain = one shard) observes
-     * the exact sequential order.
      */
     void setCheckHook(CheckHook *hook) { checkHook_ = hook; }
 
     /** Total quanta stepped (debug/health metric). */
-    std::uint64_t steps() const;
+    std::uint64_t steps() const { return steps_; }
 
     /** Number of run() invocations so far (checker re-baselining). */
     std::uint64_t runEpoch() const { return runEpoch_; }
@@ -248,133 +184,33 @@ class Engine
     /**
      * Clock of the currently stepping thread at its quantum start: no
      * future request can be issued at an earlier virtual time, so
-     * queueing state older than this is safely prunable. Under
-     * parallel execution this is the cross-run aggregate (max over
-     * shard horizons at run() exit); in-run pruning goes through
-     * Cpu::pruneHorizon(), which is shard-local.
+     * queueing state older than this is safely prunable. After run()
+     * it stays at the last quantum start.
      */
     Time safeHorizon() const { return safeHorizon_; }
 
   private:
-    /** Never: sentinel for "no runnable clock / no pending event". */
-    static constexpr Time kNever = std::numeric_limits<Time>::max();
-
-    /**
-     * One cross-domain wake in flight. Inboxes are drained in
-     * ascending (at, srcShard, seq) order -- an explicit total order
-     * so delivery never depends on host-thread completion order. All
-     * current event kinds commute at equal times (advanceTo is a max,
-     * unpark is idempotent); the sort keys keep the order pinned down
-     * for future event kinds anyway.
-     */
-    struct PendingWake
-    {
-        Time at;               ///< earliest virtual delivery time
-        std::uint32_t srcShard;///< sending shard (tie-break key)
-        std::uint64_t seq;     ///< sending shard's sequence number
-        int threadId;          ///< parked daemon to wake
-        /** Trace flow id carried to delivery (0 = tracing off). */
-        std::uint64_t flowId = 0;
-    };
-
-    /** Padded per-thread record: shards touch disjoint cache lines. */
-    struct alignas(64) ThreadState
+    struct ThreadState
     {
         std::unique_ptr<Task> task;
         Cpu cpu;
         bool daemon = false;
         bool parked = false;
         bool done = false;
-        int domain = kSharedDomain;
-        unsigned shard = 0; ///< assigned at run() start
     };
 
-    /** Per-shard scheduler state; one executor host thread at a time. */
-    struct alignas(64) ShardState
-    {
-        /** Member thread ids, ascending (= sequential tie-break). */
-        std::vector<int> members;
-        /** Matured cross-domain wakes, sorted (at, srcShard, seq). */
-        std::vector<PendingWake> pending;
-        /** Cross-shard deposits; drained at the epoch barrier. */
-        std::vector<PendingWake> inbox;
-        std::mutex inboxMu;
-        /** Quantum-start clock of this shard's stepping thread. */
-        Time safeHorizon = 0;
-        /** Quanta stepped since the last barrier merge. */
-        std::atomic<std::uint64_t> stepsDelta{0};
-        std::uint64_t wakeSeq = 0; ///< outgoing event numbering
-        bool steppedThisRun = false;
-        /**
-         * Worker-exhaustion cut, mirroring the classic loop's exit:
-         * when a shard's last live worker member completes, the shard
-         * stops stepping (daemons included) for the rest of the run.
-         * With one shard this is exactly the sequential exit rule;
-         * with many, retired() shards are skipped by the barrier so a
-         * never-again-steppable daemon cannot pin the global horizon.
-         * Daemon-only shards (hadWorkers false) never retire; they run
-         * while workers are pending anywhere.
-         */
-        bool hadWorkers = false;
-        unsigned liveWorkers = 0;
-
-        bool retired() const { return hadWorkers && liveWorkers == 0; }
-        std::exception_ptr error;
-        Time errorAt = 0;
-    };
-
-    /** The one total order every wake queue is kept in. */
-    static bool
-    wakeLess(const PendingWake &a, const PendingWake &b)
-    {
-        if (a.at != b.at)
-            return a.at < b.at;
-        if (a.srcShard != b.srcShard)
-            return a.srcShard < b.srcShard;
-        return a.seq < b.seq;
-    }
-
-    int addInternal(std::unique_ptr<Task> task, int core, bool daemon,
-                    int domain);
-    Time pruneHorizonFor(const Cpu &cpu) const;
-    void assignShards();
-    void postWake(ThreadState &t, Time at, unsigned srcShard,
-                  std::uint64_t flowId);
-    void applyWake(const PendingWake &w);
-    void runSequentialLoop();
-    void runParallelLoop();
-    /** Advance one shard's threads up to @p horizon (one epoch). */
-    void runShardEpoch(unsigned shardIdx, Time horizon);
-    void drainLeftoverWakes();
-    void ensurePool();
-    void shutdownPool();
-    void workerLoop(unsigned shardIdx);
-
-    friend class Cpu;
+    int addInternal(std::unique_ptr<Task> task, int core, bool daemon);
 
     unsigned nCores_;
     unsigned nextCore_ = 0;
     std::vector<std::unique_ptr<ThreadState>> threads_;
-    std::vector<std::unique_ptr<ShardState>> shards_;
     std::uint64_t steps_ = 0;
     std::uint64_t runEpoch_ = 0;
     bool running_ = false;
     Time safeHorizon_ = 0;
+    /** Thread inside step() (-1 between quanta): the wake flow source. */
+    int stepping_ = -1;
     CheckHook *checkHook_ = nullptr;
-
-    unsigned simThreads_ = 1;
-    Time lookahead_ = kDefaultLookahead;
-
-    // Host worker pool (lazily spawned; shard i > 0 -> worker i - 1).
-    std::vector<std::thread> workers_;
-    std::mutex poolMu_;
-    std::condition_variable poolCv_;
-    std::condition_variable doneCv_;
-    std::uint64_t epochGen_ = 0;
-    unsigned pendingShards_ = 0;
-    Time epochHorizon_ = 0;
-    std::vector<char> shardActive_;
-    bool shutdown_ = false;
 };
 
 } // namespace dax::sim

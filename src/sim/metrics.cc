@@ -236,11 +236,11 @@ MetricsRegistry::snapshot()
 MetricsSnapshot
 MetricsRegistry::peek() const
 {
-    // Deterministic roll-up contract (docs/engine.md): per-core slots
-    // merge in ascending slot index, and the snapshot orders
-    // instruments by name (std::map), never by registration or
-    // host-thread timing. Asserted below so a future container swap
-    // cannot silently break byte-stable output.
+    // Deterministic roll-up contract: per-core slots merge in
+    // ascending slot index, and the snapshot orders instruments by
+    // name (std::map), never by registration order. Asserted below so
+    // a future container swap cannot silently break byte-stable
+    // output.
     MetricsSnapshot snap;
     for (const auto &entry : entries_) {
         switch (entry.kind) {

@@ -87,9 +87,6 @@ Trace::log(TraceCat cat, Time now, const char *fmt, ...)
     std::snprintf(line, sizeof(line), "[%11.3f us] %s: %s\n",
                   static_cast<double>(now) / 1e3, traceCatName(cat),
                   body);
-    // Whole lines under one lock: text output from parallel-engine
-    // shards interleaves at line, not character, granularity.
-    std::lock_guard<std::mutex> lock(ioMu_);
     if (sink_ != nullptr)
         std::fputs(line, sink_);
     else
@@ -111,7 +108,6 @@ Trace::event(TraceCat cat, std::uint32_t track, int core, Time now,
         std::snprintf(line, sizeof(line), "[%11.3f us] %s: %s\n",
                       static_cast<double>(now) / 1e3, traceCatName(cat),
                       body);
-        std::lock_guard<std::mutex> lock(ioMu_);
         if (sink_ != nullptr)
             std::fputs(line, sink_);
         else

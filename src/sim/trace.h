@@ -29,7 +29,6 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
 
 #include "sim/engine.h"
@@ -118,8 +117,6 @@ class Trace
 
     unsigned mask_ = 0;
     std::FILE *sink_ = stderr;
-    /** Serializes text-line emission from parallel-engine shards. */
-    std::mutex ioMu_;
     std::string captured_;
     SpanRecorder spans_;
 };

@@ -98,38 +98,14 @@ System::System(const SystemConfig &config)
     // so config() introspection reports what is actually running.
     config_.blockAllocPolicy = fs_.allocator().policy();
     config_.framePolicy = dramMeta_.policy();
-    bool fastPaths = config.hostFastPaths;
-    if (const char *env = std::getenv("DAXVM_HOST_FAST")) {
-        if (std::atoi(env) == 0)
-            fastPaths = false;
-    }
-    config_.hostFastPaths = fastPaths;
-    // Parallel engine knob (docs/engine.md). A System is one shared
-    // isolation domain, so any thread count is bit-identical; the
-    // epoch machinery still runs when > 1 (exercised by
-    // check_sweep --threads and the TSan CI job).
-    unsigned simThreads = config.simThreads;
-    if (simThreads == 0) {
-        if (const char *env = std::getenv("DAXVM_SIM_THREADS"))
-            simThreads = static_cast<unsigned>(
-                std::max(0, std::atoi(env)));
-        if (simThreads == 0)
-            simThreads = 1;
-    }
-    config_.simThreads = simThreads;
-    sim::Time lookahead = config.simLookaheadNs;
-    if (lookahead == 0)
-        lookahead = config_.cm.crossShardLookahead();
-    config_.simLookaheadNs = lookahead;
-    engine_.setParallelism(simThreads, lookahead);
     for (unsigned c = 0; c < config.cores; c++) {
         mmus_.push_back(std::make_unique<arch::Mmu>(config_.cm,
-                                                    fastPaths));
+                                                    config.hostFastPaths));
         hub_.registerMmu(static_cast<int>(c), mmus_.back().get());
     }
     vmm_ = std::make_unique<vm::VmManager>(config_.cm, hub_, fs_,
                                            dramMeta_, dram_, &metrics_);
-    vmm_->setHostFastPaths(fastPaths);
+    vmm_->setHostFastPaths(config.hostFastPaths);
     if (config.daxvm) {
         ftm_ = std::make_unique<daxvm::FileTableManager>(
             fs_, dramMeta_, pmemTables_, config_.cm);

@@ -87,24 +87,9 @@ struct SystemConfig
      * Host-side fast paths (per-core walk cache, per-process VMA
      * cache). Purely host-time: simulated output is bit-identical
      * either way (docs/performance.md). The escape hatch exists for
-     * the golden-equivalence test and for bisecting host-perf issues;
-     * DAXVM_HOST_FAST=0 in the environment also disables them.
+     * the golden-equivalence test and for bisecting host-perf issues.
      */
     bool hostFastPaths = true;
-    /**
-     * Host threads for the parallel engine (docs/engine.md). 0 =
-     * consult the DAXVM_SIM_THREADS environment variable, defaulting
-     * to 1 (the sequential reference executor). Simulated output is
-     * bit-identical for every value; >1 buys wall clock on workloads
-     * spanning multiple isolation domains. Purely host-side, so it is
-     * deliberately absent from bench result JSON.
-     */
-    unsigned simThreads = 0;
-    /**
-     * Cross-shard lookahead in virtual ns for the parallel engine.
-     * 0 = derive from the cost model (CostModel::crossShardLookahead).
-     */
-    sim::Time simLookaheadNs = 0;
     sim::CostModel cm;
 };
 

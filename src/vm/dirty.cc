@@ -23,8 +23,7 @@ VmManager::VmManager(const sim::CostModel &cm, arch::ShootdownHub &hub,
       ownedMetrics_(metrics != nullptr
                         ? nullptr
                         : std::make_unique<sim::MetricsRegistry>()),
-      metrics_(metrics != nullptr ? metrics : ownedMetrics_.get()),
-      stats_(*metrics_)
+      metrics_(metrics != nullptr ? metrics : ownedMetrics_.get())
 {
     fs_.addHooks(this);
 

@@ -25,7 +25,6 @@
 #include "sim/cost_model.h"
 #include "sim/locks.h"
 #include "sim/metrics.h"
-#include "sim/stats.h"
 
 namespace dax::vm {
 
@@ -128,7 +127,6 @@ class VmManager : public fs::FsHooks
     fs::FileSystem &fs() { return fs_; }
     mem::FrameAllocator &dramMeta() { return dramMeta_; }
     mem::Device &dram() { return dram_; }
-    sim::StatSet &stats() { return stats_; }
     sim::MetricsRegistry &metricsRegistry() { return *metrics_; }
 
     /** Typed hot-path instruments (legacy names, see sim/metrics.h). */
@@ -235,7 +233,6 @@ class VmManager : public fs::FsHooks
     std::uint64_t mceSigbus_ = 0;
     bool hugePages_ = true;
     bool hostFastPaths_ = true;
-    sim::StatSet stats_;
     VmCounters counters_;
     std::set<AddressSpace *> spaces_;
     sim::LockStats retiredSemRead_;

@@ -72,8 +72,8 @@ Tenant::makePreloadTask()
     if (spec_.kind != TenantKind::Ycsb)
         return nullptr;
     // Load phase: fill the record space so run-phase gets hit. Runs
-    // in the shared domain of the generation run, concurrently (in
-    // virtual time) with the per-tenant schedule synthesis.
+    // in the generation run, concurrently (in virtual time) with the
+    // per-tenant schedule synthesis.
     return std::make_unique<sim::FnTask>(
         [this](sim::Cpu &cpu) {
             const std::uint64_t batch = 256;

@@ -238,7 +238,7 @@ TEST(DaxMmap, NoFaultsEver)
     const std::uint64_t va =
         f.dax().mmap(f.cpu, *f.as, ino, 0, 256 * 1024, false, 0);
     f.as->memRead(f.cpu, va, 256 * 1024, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), 0u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), 0u);
 }
 
 TEST(DaxMmap, AttachmentCostIndependentOfFileSize)
@@ -463,7 +463,7 @@ TEST(AsyncUnmap, BatchThresholdTriggersSingleFullFlush)
     // one page even though a 2 MB granule is attached).
     f.dax().setAsyncBatchPages(4);
     const auto flushesBefore =
-        f.system.hub().stats().get("tlb.full_flushes");
+        f.system.metrics().counterValue("tlb.full_flushes");
     const fs::Ino ino = f.system.makeFile("/a", 4096);
     for (int i = 0; i < 4; i++) {
         const std::uint64_t va = f.dax().mmap(
@@ -471,7 +471,7 @@ TEST(AsyncUnmap, BatchThresholdTriggersSingleFullFlush)
             vm::kMapEphemeral | vm::kMapUnmapAsync);
         f.dax().munmap(f.cpu, *f.as, va);
     }
-    EXPECT_GT(f.system.hub().stats().get("tlb.full_flushes"),
+    EXPECT_GT(f.system.metrics().counterValue("tlb.full_flushes"),
               flushesBefore);
     EXPECT_EQ(f.dax().unmapper().pendingPages(*f.as), 0u);
 }
@@ -523,11 +523,11 @@ TEST(NoSync, NoDirtyTrackingNoFaults)
     const std::uint64_t va = f.dax().mmap(
         f.cpu, *f.as, ino, 0, 2ULL << 20, true, vm::kMapNoMsync);
     f.as->memWrite(f.cpu, va, 1ULL << 20, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), 0u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), 0u);
     EXPECT_EQ(f.system.vmm().dirtyPages(ino), 0u);
     // msync is a no-op.
     EXPECT_TRUE(f.as->msync(f.cpu, va, 2ULL << 20));
-    EXPECT_EQ(f.system.vmm().stats().get("vm.msync_noop"), 1u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.msync_noop"), 1u);
 }
 
 TEST(NoSync, TrackedDaxvmMappingFaultsAt2M)
@@ -538,7 +538,7 @@ TEST(NoSync, TrackedDaxvmMappingFaultsAt2M)
         f.dax().mmap(f.cpu, *f.as, ino, 0, 4ULL << 20, true, 0);
     f.as->memWrite(f.cpu, va, 4ULL << 20, mem::Pattern::Seq);
     // 4 MB written: exactly two 2 MB-granularity permission faults.
-    EXPECT_EQ(f.system.vmm().stats().get("vm.daxvm_wp_faults"), 2u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.daxvm_wp_faults"), 2u);
     EXPECT_EQ(f.system.vmm().dirtyPages(ino), 1024u);
 }
 
@@ -556,7 +556,7 @@ TEST(NoSync, PosixMsyncFlushesWholeFileWhenCoexisting)
     posixAs->memWrite(c2, pva, 4096, mem::Pattern::Rand,
                       mem::WriteMode::Cached);
     posixAs->msync(c2, pva, 4096);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.sync_whole_file"), 1u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.sync_whole_file"), 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -579,11 +579,11 @@ TEST(Prezero, FreedBlocksDivertedZeroedAndReused)
     // A subsequent fallocate consumes pre-zeroed blocks for free.
     const fs::Ino sec = f.system.fs().create(cpu, "/sec");
     const auto zeroCharged =
-        f.system.fs().stats().get("fs.zeroed_blocks");
+        f.system.metrics().counterValue("fs.zeroed_blocks");
     ASSERT_TRUE(f.system.fs().fallocate(cpu, sec, 0, 64 * 1024));
-    EXPECT_EQ(f.system.fs().stats().get("fs.zeroed_blocks"),
+    EXPECT_EQ(f.system.metrics().counterValue("fs.zeroed_blocks"),
               zeroCharged);
-    EXPECT_GT(f.system.fs().stats().get("fs.prezeroed_blocks"), 0u);
+    EXPECT_GT(f.system.metrics().counterValue("fs.prezeroed_blocks"), 0u);
     // Security: the recycled blocks read zero through a mapping.
     const std::uint64_t va =
         f.dax().mmap(cpu, *f.as, sec, 0, 64 * 1024, false, 0);

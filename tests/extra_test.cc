@@ -92,7 +92,7 @@ TEST(ShootdownExtra, SingleCoreNeedsNoIpi)
     const std::uint64_t va = as->mmap(cpu, ino, 0, 16 * 4096, false, 0);
     as->memRead(cpu, va, 16 * 4096, mem::Pattern::Seq);
     as->munmap(cpu, va, 16 * 4096);
-    EXPECT_EQ(system.hub().stats().get("tlb.ipis"), 0u);
+    EXPECT_EQ(system.metrics().counterValue("tlb.ipis"), 0u);
 }
 
 TEST(JournalExtra, CommitAllFlushesEveryInode)
@@ -304,12 +304,12 @@ TEST(Fork, ChildSeesParentMappingsAndData)
     f.as->memRead(f.cpu, va, 64 * 1024, mem::Pattern::Seq);
     auto child = f.as->fork(f.cpu);
     // Child reads through copied translations without faulting.
-    const auto faults = f.system.vmm().stats().get("vm.faults");
+    const auto faults = f.system.metrics().counterValue("vm.faults");
     std::uint8_t b = 0;
     sim::Cpu childCpu(nullptr, 1, 1);
     child->memRead(childCpu, va + 777, 1, mem::Pattern::Rand, &b);
     EXPECT_EQ(b, sys::System::patternByte(ino, 777));
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), faults);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), faults);
     // Independent teardown: child unmap does not affect the parent.
     ASSERT_TRUE(child->munmap(childCpu, va, 64 * 1024));
     f.as->memRead(f.cpu, va + 777, 1, mem::Pattern::Rand, &b);
@@ -343,7 +343,7 @@ TEST(Fork, DaxVmMappingsReattachCheaply)
     // And the data is reachable in the DaxVM child.
     sim::Cpu childCpu(nullptr, 2, 2);
     daxChild->memRead(childCpu, dva, 4096, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), 0u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), 0u);
 }
 
 TEST(Fork, EphemeralMappingsNotInherited)

@@ -217,8 +217,8 @@ TEST(FileSystem, Ext4ZeroesOnWriteSyscallNovaDoesNot)
     const Ino b = nova.fs.create(nova.cpu, "/f");
     ext4.fs.write(ext4.cpu, a, 0, nullptr, 1 << 20);
     nova.fs.write(nova.cpu, b, 0, nullptr, 1 << 20);
-    EXPECT_GT(ext4.fs.stats().get("fs.zeroed_blocks"), 0u);
-    EXPECT_EQ(nova.fs.stats().get("fs.zeroed_blocks"), 0u);
+    EXPECT_GT(ext4.fs.metricsRegistry().counterValue("fs.zeroed_blocks"), 0u);
+    EXPECT_EQ(nova.fs.metricsRegistry().counterValue("fs.zeroed_blocks"), 0u);
 }
 
 TEST(FileSystem, TruncateFreesBlocks)

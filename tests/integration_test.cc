@@ -263,9 +263,9 @@ TEST(Coherence, MsyncInOneProcessReprotectsAll)
     // Sync from A flushes both dirty pages and re-protects B too.
     a->msync(ca, vaA, 8 * 4096);
     EXPECT_EQ(system.vmm().dirtyPages(ino), 0u);
-    const auto wp = system.vmm().stats().get("vm.wp_faults");
+    const auto wp = system.metrics().counterValue("vm.wp_faults");
     b->memWrite(cb, vaB + 4096, 8, mem::Pattern::Rand);
-    EXPECT_EQ(system.vmm().stats().get("vm.wp_faults"), wp + 1);
+    EXPECT_EQ(system.metrics().counterValue("vm.wp_faults"), wp + 1);
 }
 
 TEST(HostFootprint, SparseDeviceReclaimsZeroedPages)
@@ -303,6 +303,6 @@ TEST(Coherence, PudAttachmentDirtyGranularity)
         cpu, *as, ino, 0, (1ULL << 30) + (8ULL << 20), true, 0);
     ASSERT_NE(va, 0u);
     as->memWrite(cpu, va, 4096, mem::Pattern::Rand);
-    EXPECT_EQ(system.vmm().stats().get("vm.daxvm_wp_faults"), 1u);
+    EXPECT_EQ(system.metrics().counterValue("vm.daxvm_wp_faults"), 1u);
     EXPECT_EQ(system.vmm().dirtyPages(ino), (1ULL << 30) / 4096);
 }

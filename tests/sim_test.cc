@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulation core: time, RNG, engine scheduling,
- * lock queueing models, bandwidth resources, stats.
+ * lock queueing models, bandwidth resources, lock stats.
  */
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "sim/locks.h"
 #include "sim/resource.h"
 #include "sim/rng.h"
-#include "sim/stats.h"
 
 using namespace dax::sim;
 
@@ -404,23 +403,6 @@ TEST(Resource, OccupyDelaysForegroundTransfers)
     EXPECT_EQ(elapsed, 6000u); // queued behind the daemon
 }
 
-TEST(Stats, IncrementGetMergeFormat)
-{
-    StatSet a, b;
-    a.inc("x");
-    a.inc("x", 4);
-    b.inc("x", 2);
-    b.inc("y", 7);
-    a.merge(b);
-    EXPECT_EQ(a.get("x"), 7u);
-    EXPECT_EQ(a.get("y"), 7u);
-    EXPECT_EQ(a.get("absent"), 0u);
-    const std::string s = a.toString();
-    EXPECT_NE(s.find("x=7"), std::string::npos);
-    a.clear();
-    EXPECT_EQ(a.get("x"), 0u);
-}
-
 TEST(LockStats, TracksHeldTime)
 {
     Engine engine(1);
@@ -468,293 +450,116 @@ TEST(BusyIntervals, PruneDropsOnlyPastIntervals)
 }
 
 // ---------------------------------------------------------------------
-// Sharded parallel engine (docs/engine.md): epoch machinery.
+// Engine wake and crash semantics.
 // ---------------------------------------------------------------------
 
-namespace {
-
-/**
- * Deterministic multi-domain workload for shard-count equivalence
- * sweeps: @p domains isolation domains, each with one worker advancing
- * Rng-drawn quanta and periodically waking the next domain's daemon,
- * plus one parked daemon per domain. Each thread appends only to its
- * own clock log, so the harness observes per-thread step sequences
- * without cross-shard data races. Returns one string capturing every
- * observable: per-thread clock logs, per-daemon wake clocks, makespan
- * and total steps.
- */
-std::string
-shardedRun(unsigned simThreads, int domains, std::uint64_t seed)
+TEST(Engine, WakeIsImmediate)
 {
-    Engine engine(domains);
-    engine.setParallelism(simThreads, /*lookaheadNs=*/500);
-    std::vector<std::vector<Time>> clocks(
-        static_cast<std::size_t>(domains));
-    std::vector<std::vector<Time>> daemonClocks(
-        static_cast<std::size_t>(domains));
-
-    std::vector<int> daemonIds;
-    for (int d = 0; d < domains; d++) {
-        daemonIds.push_back(engine.addDaemon(
-            std::make_unique<FnTask>([&daemonClocks, d](Cpu &cpu) {
-                daemonClocks[static_cast<std::size_t>(d)].push_back(
-                    cpu.now());
-                cpu.advance(25);
-                return false; // park again
-            }),
-            -1, /*domain=*/d + 1));
-    }
-    for (int d = 0; d < domains; d++) {
-        // Mutable per-thread state lives in the closure: the lambda
-        // only touches its own domain's log and RNG.
-        Rng rng(seed + static_cast<std::uint64_t>(d));
-        int steps = 0;
-        const int peer = daemonIds[static_cast<std::size_t>(
-            (d + 1) % domains)];
-        engine.addThread(std::make_unique<FnTask>(
-                             [&clocks, d, rng, steps, peer](
-                                 Cpu &cpu) mutable {
-                                 clocks[static_cast<std::size_t>(d)]
-                                     .push_back(cpu.now());
-                                 cpu.advance(50 + rng.below(200));
-                                 // Wakes stop well before the workers
-                                 // do, so every effect time matures
-                                 // inside the target's worker lifetime
-                                 // (the equivalence precondition of
-                                 // docs/engine.md).
-                                 if (steps % 7 == 3 && steps < 27)
-                                     cpu.engine()->wake(peer, cpu.now());
-                                 return ++steps < 40;
-                             }),
-                         -1, 0, /*domain=*/d + 1);
-    }
-    const Time makespan = engine.run();
-
-    std::string out = "makespan " + std::to_string(makespan)
-                    + " steps " + std::to_string(engine.steps()) + "\n";
-    for (int d = 0; d < domains; d++) {
-        out += "thread " + std::to_string(d) + ":";
-        for (const Time t : clocks[static_cast<std::size_t>(d)])
-            out += " " + std::to_string(t);
-        out += "\ndaemon " + std::to_string(d) + ":";
-        for (const Time t : daemonClocks[static_cast<std::size_t>(d)])
-            out += " " + std::to_string(t);
-        out += "\n";
-    }
-    return out;
+    // The woken daemon resumes at max(notBefore, waker's quantum
+    // start), with no added latency.
+    Engine engine(2);
+    Time daemonClock = 0;
+    const int daemonId =
+        engine.addDaemon(std::make_unique<FnTask>([&](Cpu &cpu) {
+            daemonClock = cpu.now();
+            return false;
+        }));
+    int steps = 0;
+    engine.addThread(std::make_unique<FnTask>([&, daemonId](Cpu &cpu) {
+        cpu.advance(100);
+        if (++steps == 2)
+            cpu.engine()->wake(daemonId, cpu.now());
+        return steps < 3;
+    }));
+    engine.run();
+    // Second quantum starts at t=100; wake(notBefore=200) resumes the
+    // daemon at max(notBefore, quantumStart) = 200.
+    EXPECT_EQ(daemonClock, 200u);
 }
 
-} // namespace
-
-TEST(ParallelEngine, ShardCountNeverChangesObservables)
+TEST(Engine, DaemonWakeHonoursFutureNotBefore)
 {
-    // Randomized equivalence sweep: for several seeds and domain
-    // counts, every simThreads must reproduce the sequential run's
-    // observables exactly (acceptance criterion of docs/engine.md).
-    for (const std::uint64_t seed : {1ULL, 42ULL, 977ULL}) {
-        for (const int domains : {1, 3, 5}) {
-            const std::string reference = shardedRun(1, domains, seed);
-            for (const unsigned simThreads : {2u, 3u, 8u}) {
-                EXPECT_EQ(reference, shardedRun(simThreads, domains, seed))
-                    << "simThreads=" << simThreads
-                    << " domains=" << domains << " seed=" << seed;
-            }
-        }
-    }
+    // A notBefore far past the waker's clock holds the daemon back
+    // until then, while the worker keeps stepping.
+    Engine engine(2);
+    Time daemonClock = 0;
+    const int daemonId =
+        engine.addDaemon(std::make_unique<FnTask>([&](Cpu &cpu) {
+            daemonClock = cpu.now();
+            return false;
+        }));
+    int steps = 0;
+    engine.addThread(std::make_unique<FnTask>([&, daemonId](Cpu &cpu) {
+        cpu.advance(300);
+        if (++steps == 4)
+            cpu.engine()->wake(daemonId, cpu.now() + 5000);
+        return steps < 25;
+    }));
+    engine.run();
+    // steps==4 quantum starts at 900, now=1200, so 6200.
+    EXPECT_EQ(daemonClock, 6200u);
 }
 
-TEST(ParallelEngine, SameDomainWakeIsImmediate)
+TEST(Engine, WakeOrderingDeterministicUnderRepeatedRuns)
 {
-    // Same-epoch IPI inside one isolation domain: zero added latency,
-    // in both executors. The daemon resumes at the caller's quantum
-    // start, exactly like the sequential engine always did.
-    for (const unsigned simThreads : {1u, 4u}) {
-        Engine engine(2);
-        engine.setParallelism(simThreads, /*lookaheadNs=*/10000);
-        Time daemonClock = 0;
-        const int daemonId = engine.addDaemon(
-            std::make_unique<FnTask>([&](Cpu &cpu) {
-                daemonClock = cpu.now();
-                return false;
-            }),
-            -1, /*domain=*/1);
-        int steps = 0;
-        engine.addThread(std::make_unique<FnTask>(
-                             [&, daemonId](Cpu &cpu) {
-                                 cpu.advance(100);
-                                 if (++steps == 2)
-                                     cpu.engine()->wake(daemonId,
-                                                        cpu.now());
-                                 return steps < 3;
-                             }),
-                         -1, 0, /*domain=*/1);
-        engine.run();
-        // Second quantum starts at t=100; wake(notBefore=200) resumes
-        // the daemon at max(notBefore, quantumStart) = 200.
-        EXPECT_EQ(daemonClock, 200u) << "simThreads=" << simThreads;
-    }
-}
-
-TEST(ParallelEngine, CrossDomainWakeChargesLookahead)
-{
-    // A wake crossing isolation domains models an IPI/hand-off and is
-    // charged the lookahead latency from the sender's quantum start -
-    // identically under the sequential and parallel executors, which
-    // is what makes the two bit-identical.
-    for (const unsigned simThreads : {1u, 2u}) {
-        Engine engine(2);
-        engine.setParallelism(simThreads, /*lookaheadNs=*/700);
-        Time daemonClock = 0;
-        const int daemonId = engine.addDaemon(
-            std::make_unique<FnTask>([&](Cpu &cpu) {
-                daemonClock = cpu.now();
-                return false;
-            }),
-            -1, /*domain=*/2);
-        int steps = 0;
-        engine.addThread(std::make_unique<FnTask>(
-                             [&, daemonId](Cpu &cpu) {
-                                 cpu.advance(100);
-                                 if (++steps == 1)
-                                     cpu.engine()->wake(daemonId, 0);
-                                 // Outlive the wake's effect time: the
-                                 // engine stops (in both modes) the
-                                 // moment the last worker completes.
-                                 return steps < 10;
-                             }),
-                         -1, 0, /*domain=*/1);
-        engine.run();
-        // Quantum start 0 + lookahead 700, notBefore=0 is stale.
-        EXPECT_EQ(daemonClock, 700u) << "simThreads=" << simThreads;
-    }
-}
-
-TEST(ParallelEngine, DaemonWakeCrossesEpochBarrier)
-{
-    // The wake's effect time lands beyond the sending epoch's horizon,
-    // so under the parallel executor it must survive an epoch barrier
-    // (inbox -> pending hand-off) before delivery. Both executors must
-    // agree on the delivery time.
-    std::vector<Time> observed;
-    for (const unsigned simThreads : {1u, 2u}) {
-        Engine engine(2);
-        engine.setParallelism(simThreads, /*lookaheadNs=*/100);
-        Time daemonClock = 0;
-        const int daemonId = engine.addDaemon(
-            std::make_unique<FnTask>([&](Cpu &cpu) {
-                daemonClock = cpu.now();
-                return false;
-            }),
-            -1, /*domain=*/2);
-        int steps = 0;
-        engine.addThread(std::make_unique<FnTask>(
-                             [&, daemonId](Cpu &cpu) {
-                                 cpu.advance(300);
-                                 if (++steps == 4)
-                                     cpu.engine()->wake(
-                                         daemonId, cpu.now() + 5000);
-                                 return steps < 25;
-                             }),
-                         -1, 0, /*domain=*/1);
-        engine.run();
-        // Explicit notBefore dominates quantumStart + lookahead:
-        // steps==4 quantum starts at 900, now=1200, so 6200.
-        EXPECT_EQ(daemonClock, 6200u) << "simThreads=" << simThreads;
-        observed.push_back(daemonClock);
-    }
-    EXPECT_EQ(observed[0], observed[1]);
-}
-
-TEST(ParallelEngine, InboxOrderingDeterministicUnderRepeatedRuns)
-{
-    // Several domains wake the same target at colliding virtual times;
-    // host-thread completion order varies run to run, but the (time,
-    // srcShard, seq) inbox sort must make delivery - and thus the
-    // target's observed clock sequence - identical every time.
-    const auto runOnce = [](unsigned simThreads) {
+    // Several workers wake the same daemon at colliding virtual times;
+    // the daemon's observed clock sequence must be exactly the
+    // min-clock order, identical on every run.
+    const auto runOnce = [] {
         Engine engine(5);
-        engine.setParallelism(simThreads, /*lookaheadNs=*/100);
         std::vector<Time> targetClocks;
         const int targetId = engine.addDaemon(
             std::make_unique<FnTask>([&targetClocks](Cpu &cpu) {
                 targetClocks.push_back(cpu.now());
                 cpu.advance(1);
                 return false;
-            }),
-            -1, /*domain=*/5);
+            }));
         for (int d = 0; d < 4; d++) {
             int steps = 0;
             engine.addThread(std::make_unique<FnTask>(
-                                 [steps, targetId](Cpu &cpu) mutable {
-                                     cpu.advance(100);
-                                     if (steps < 8)
-                                         cpu.engine()->wake(targetId,
-                                                            cpu.now());
-                                     return ++steps < 12;
-                                 }),
-                             -1, 0, /*domain=*/d + 1);
+                [steps, targetId](Cpu &cpu) mutable {
+                    cpu.advance(100);
+                    if (steps < 8)
+                        cpu.engine()->wake(targetId, cpu.now());
+                    return ++steps < 12;
+                }));
         }
         engine.run();
         return targetClocks;
     };
-    const std::vector<Time> reference = runOnce(1);
-    ASSERT_FALSE(reference.empty());
+    // Each round's wakes coalesce; the daemon (lowest id) wins the
+    // clock tie with the workers and runs once per round.
+    const std::vector<Time> expected{100, 200, 300, 400,
+                                     500, 600, 700, 800};
     for (int repeat = 0; repeat < 10; repeat++)
-        EXPECT_EQ(reference, runOnce(4)) << "repeat " << repeat;
+        EXPECT_EQ(runOnce(), expected) << "repeat " << repeat;
 }
 
-TEST(ParallelEngine, CrashMidEpochPropagatesInBothModes)
+TEST(Engine, CrashMidRunPropagatesAndEngineResumes)
 {
-    // FaultPlan-style crash injection: a task throws mid-run. Both
-    // executors must surface the exception from run(), and the engine
-    // must stay usable (the next run() re-steps the survivor).
-    for (const unsigned simThreads : {1u, 3u}) {
-        Engine engine(3);
-        engine.setParallelism(simThreads, /*lookaheadNs=*/200);
-        bool thrown = false;
-        engine.addThread(std::make_unique<FnTask>(
-                             [&thrown](Cpu &cpu) {
-                                 cpu.advance(100);
-                                 if (!thrown) {
-                                     thrown = true;
-                                     throw std::runtime_error(
-                                         "injected crash");
-                                 }
-                                 return false;
-                             }),
-                         -1, 0, /*domain=*/1);
-        int survivorSteps = 0;
-        engine.addThread(std::make_unique<FnTask>(
-                             [&survivorSteps](Cpu &cpu) {
-                                 cpu.advance(60);
-                                 return ++survivorSteps < 30;
-                             }),
-                         -1, 0, /*domain=*/2);
-        EXPECT_THROW(engine.run(), std::runtime_error)
-            << "simThreads=" << simThreads;
-        // Crash recovery path: a fresh run() finishes the survivors.
-        EXPECT_NO_THROW(engine.run()) << "simThreads=" << simThreads;
-        EXPECT_EQ(survivorSteps, 30) << "simThreads=" << simThreads;
-    }
-}
-
-TEST(ParallelEngine, SetParallelismValidatesAndReports)
-{
-    Engine engine(2);
-    EXPECT_EQ(engine.simThreads(), 1u);
-    engine.setParallelism(4, 1234);
-    EXPECT_EQ(engine.simThreads(), 4u);
-    EXPECT_EQ(engine.lookaheadNs(), 1234u);
-    EXPECT_THROW(engine.setParallelism(0), std::invalid_argument);
-    EXPECT_THROW(engine.setParallelism(4, 0), std::invalid_argument);
-    EXPECT_THROW(
-        {
-            Engine e(1);
-            e.addThread(std::make_unique<FnTask>(
-                            [](Cpu &) { return false; }),
-                        -1, 0, /*domain=*/-1);
-        },
-        std::invalid_argument);
+    // FaultPlan-style crash injection: a task throws mid-run. run()
+    // must surface the exception and the engine must stay usable: a
+    // second run() re-steps the survivor to completion.
+    Engine engine(3);
+    bool thrown = false;
+    engine.addThread(std::make_unique<FnTask>([&thrown](Cpu &cpu) {
+        cpu.advance(100);
+        if (!thrown) {
+            thrown = true;
+            throw std::runtime_error("injected crash");
+        }
+        return false;
+    }));
+    int survivorSteps = 0;
+    engine.addThread(std::make_unique<FnTask>([&survivorSteps](Cpu &cpu) {
+        cpu.advance(60);
+        return ++survivorSteps < 30;
+    }));
+    EXPECT_THROW(engine.run(), std::runtime_error);
+    EXPECT_FALSE(engine.running());
+    EXPECT_NO_THROW(engine.run());
+    EXPECT_EQ(survivorSteps, 30);
+    EXPECT_EQ(engine.runEpoch(), 2u);
 }
 
 TEST(Engine, WakeResyncsStaleClockToSafeHorizon)

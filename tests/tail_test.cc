@@ -3,8 +3,7 @@
  * Tail-latency forensics tests (tools/tail_analysis.h, docs/tracing.md):
  * critical-path extraction on a synthetic trace with a hand-computed
  * answer, exact decomposition (residual zero) on a real traced
- * open-loop mix, byte-identical flow ids sequential vs sharded, the
- * exemplar reservoir surviving ring overflow, and windowed timeline
+ * open-loop mix with its flow chains, the exemplar reservoir surviving ring overflow, and windowed timeline
  * snapshots whose per-window deltas sum to the totals.
  */
 #include <gtest/gtest.h>
@@ -81,14 +80,13 @@ analyzeText(const std::string &text)
 }
 
 sys::SystemConfig
-testConfig(unsigned simThreads)
+testConfig()
 {
     sys::SystemConfig config;
     config.cores = 4;
     config.pmemBytes = 1ULL << 30;
     config.pmemTableBytes = 64ULL << 20;
     config.dramBytes = 512ULL << 20;
-    config.simThreads = simThreads;
     return config;
 }
 
@@ -98,13 +96,13 @@ testConfig(unsigned simThreads)
  * run's events and exemplars; @return the Chrome trace export.
  */
 std::string
-runTracedMix(unsigned simThreads, std::size_t capacity = 1 << 16)
+runTracedMix(std::size_t capacity = 1 << 16)
 {
     sim::Trace::get().reset();
     sim::Trace::get().spans().enableAll();
     sim::Trace::get().spans().setCapacity(capacity);
 
-    sys::System system(testConfig(simThreads));
+    sys::System system(testConfig());
 
     std::vector<TenantSpec> specs(3);
     TenantSpec &apache = specs[0];
@@ -161,8 +159,7 @@ runTracedMix(unsigned simThreads, std::size_t capacity = 1 << 16)
 
     for (std::size_t t = 0; t < tenants.size(); t++) {
         system.engine().addThread(tenants[t]->makeGenTask(),
-                                  static_cast<int>(t), 0,
-                                  /*domain=*/1 + static_cast<int>(t));
+                                  static_cast<int>(t));
         if (auto preload = tenants[t]->makePreloadTask())
             system.engine().addThread(std::move(preload),
                                       static_cast<int>(t));
@@ -281,13 +278,15 @@ TEST_F(TailTest, AggregateAttributionRefusedOnDroppedEvents)
 
 TEST_F(TailTest, RealRunDecompositionSumsMatchLatencyExactly)
 {
-    const std::string text = runTracedMix(/*simThreads=*/1);
+    const std::string text = runTracedMix();
     const tools::TailReportData data = analyzeText(text);
 
     EXPECT_TRUE(data.problems.empty())
         << (data.problems.empty() ? "" : data.problems.front());
     EXPECT_EQ(data.requestsParsed, 600u); // 3 tenants x 200
     EXPECT_EQ(data.dropped, 0u);
+    EXPECT_GT(data.flowSteps, 0u); // open-loop claim chains
+    EXPECT_GT(data.flowStarts, 0u);
     ASSERT_FALSE(data.exemplars.empty());
 
     // The acceptance bar: every preserved request's segment sum equals
@@ -307,26 +306,12 @@ TEST_F(TailTest, RealRunDecompositionSumsMatchLatencyExactly)
     EXPECT_EQ(tools::validateTailReport(data), "");
 }
 
-TEST_F(TailTest, FlowIdsBitIdenticalSequentialVsSharded)
-{
-    const std::string seq = runTracedMix(/*simThreads=*/1);
-    const std::string par = runTracedMix(/*simThreads=*/4);
-
-    // Flow ids come from per-track counters, so the whole export -
-    // causal arrows included - is byte-identical under sharding.
-    EXPECT_EQ(seq, par);
-
-    const tools::TailReportData data = analyzeText(seq);
-    EXPECT_GT(data.flowSteps, 0u); // open-loop claim chains
-    EXPECT_GT(data.flowStarts, 0u);
-}
-
 TEST_F(TailTest, ExemplarReservoirSurvivesRingOverflow)
 {
     // A 96-event ring cannot hold even one tenant's request stream,
     // so the ring laps; the reservoir must still hold deterministic,
     // latency-ordered top-K span trees per tenant.
-    runTracedMix(/*simThreads=*/1, /*capacity=*/96);
+    runTracedMix(/*capacity=*/96);
     const sim::SpanRecorder &rec = sim::Trace::get().spans();
     EXPECT_GT(rec.droppedCount(), 0u);
 
@@ -350,7 +335,7 @@ TEST_F(TailTest, ExemplarReservoirSurvivesRingOverflow)
     }
 
     // Identical rerun -> identical reservoir, overflow and all.
-    runTracedMix(/*simThreads=*/1, /*capacity=*/96);
+    runTracedMix(/*capacity=*/96);
     const std::vector<sim::SpanExemplar> second =
         sim::Trace::get().spans().exemplars();
     ASSERT_EQ(first.size(), second.size());

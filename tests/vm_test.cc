@@ -59,10 +59,10 @@ TEST(Mmap, LazyFaultingCountsOnePerPage)
     const std::uint64_t va = f.as->mmap(f.cpu, ino, 0, 16 * 4096,
                                         false, 0);
     f.as->memRead(f.cpu, va, 16 * 4096, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), 16u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), 16u);
     // Second scan: no more faults.
     f.as->memRead(f.cpu, va, 16 * 4096, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), 16u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), 16u);
 }
 
 TEST(Mmap, PopulateAvoidsLaterFaults)
@@ -72,7 +72,7 @@ TEST(Mmap, PopulateAvoidsLaterFaults)
     const std::uint64_t va =
         f.as->mmap(f.cpu, ino, 0, 16 * 4096, false, kMapPopulate);
     f.as->memRead(f.cpu, va, 16 * 4096, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), 0u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), 0u);
 }
 
 TEST(Mmap, HugePageUsedWhenAligned)
@@ -83,7 +83,7 @@ TEST(Mmap, HugePageUsedWhenAligned)
     const std::uint64_t va =
         f.as->mmap(f.cpu, ino, 0, 4ULL << 20, false, 0);
     f.as->memRead(f.cpu, va, 4ULL << 20, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"), 2u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"), 2u);
 }
 
 TEST(Mmap, OffsetMappingReadsRightBytes)
@@ -156,11 +156,11 @@ TEST(DirtyTracking, FirstWriteTakesPermissionFault)
     const std::uint64_t va =
         f.as->mmap(f.cpu, ino, 0, 8 * 4096, true, 0);
     f.as->memRead(f.cpu, va, 8 * 4096, mem::Pattern::Seq);
-    const auto faultsAfterRead = f.system.vmm().stats().get("vm.faults");
+    const auto faultsAfterRead = f.system.metrics().counterValue("vm.faults");
     f.as->memWrite(f.cpu, va, 8 * 4096, mem::Pattern::Seq);
     // One write-protect fault per page on top of the read faults.
-    EXPECT_EQ(f.system.vmm().stats().get("vm.wp_faults"), 8u);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.faults"),
+    EXPECT_EQ(f.system.metrics().counterValue("vm.wp_faults"), 8u);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.faults"),
               faultsAfterRead + 8);
     EXPECT_EQ(f.system.vmm().dirtyPages(ino), 8u);
 }
@@ -177,9 +177,9 @@ TEST(DirtyTracking, MsyncFlushesAndRestartsTracking)
     ASSERT_TRUE(f.as->msync(f.cpu, va, 8 * 4096));
     EXPECT_EQ(f.system.vmm().dirtyPages(ino), 0u);
     // Writing again re-faults (tracking restarted).
-    const auto wp = f.system.vmm().stats().get("vm.wp_faults");
+    const auto wp = f.system.metrics().counterValue("vm.wp_faults");
     f.as->memWrite(f.cpu, va, 4096, mem::Pattern::Seq);
-    EXPECT_EQ(f.system.vmm().stats().get("vm.wp_faults"), wp + 1);
+    EXPECT_EQ(f.system.metrics().counterValue("vm.wp_faults"), wp + 1);
     EXPECT_EQ(f.system.vmm().dirtyPages(ino), 1u);
 }
 
@@ -201,7 +201,7 @@ TEST(DirtyTracking, SyncEvery10WritesCausesManyMoreFaults)
             if (sync && i % 10 == 9)
                 f.as->msync(f.cpu, va, 4ULL << 20);
         }
-        return f.system.vmm().stats().get("vm.faults");
+        return f.system.metrics().counterValue("vm.faults");
     };
     const auto without = run(false);
     const auto with = run(true);
@@ -389,7 +389,7 @@ TEST(Latr, LazyUnmapKeepsRemoteStaleUntilDrain)
     f.as->memRead(cpu1, va, 4 * 4096, mem::Pattern::Seq);
     ASSERT_TRUE(f.system.latr().munmapLazy(cpu0, *f.as, va));
     // No IPI was sent; core 1's TLB still holds the translation.
-    EXPECT_EQ(f.system.hub().stats().get("tlb.ipis"), 0u);
+    EXPECT_EQ(f.system.metrics().counterValue("tlb.ipis"), 0u);
     EXPECT_NE(f.system.hub().mmu(1).tlb().lookup(va, f.as->asid()),
               nullptr);
     // The drain at core 1's next scheduling boundary clears it.
