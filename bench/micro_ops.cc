@@ -7,7 +7,6 @@
  */
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <unordered_map>
@@ -236,19 +235,17 @@ BENCHMARK(BM_DeviceFlushLoopRef);
 constexpr std::uint64_t kAgedBlocks = 1ULL << 17;
 
 /**
- * Steady-state alloc/free churn on an aged image. Both policies replay
- * the *same* logical op sequence: fill to ~85% with small variable
- * allocations, churn free/alloc pairs until free space is shredded
- * into thousands of extents, then measure one free + one goal-directed
- * alloc per iteration. The first-fit policy pays an O(free-extents)
- * scan per alloc here; the segregated policy stays O(1). The
- * BM_BlockAllocAged/BM_BlockAllocAgedRef ratio is the "aged_alloc"
- * speedup gated (>= 1.5x) by scripts/bench_diff.py perf.
+ * Steady-state alloc/free churn on an aged image: fill to ~85% with
+ * small variable allocations, churn free/alloc pairs until free space
+ * is shredded into thousands of extents, then measure one free + one
+ * goal-directed alloc per iteration. First fit pays an O(free-extents)
+ * scan per alloc here, so this is the linear reference a faster
+ * first fit with the same placement is measured against.
  */
 void
-runBlockAllocAged(benchmark::State &state, fs::AllocPolicy policy)
+BM_BlockAllocAgedRef(benchmark::State &state)
 {
-    fs::BlockAllocator alloc(kAgedBlocks, 0, policy);
+    fs::BlockAllocator alloc(kAgedBlocks, 0);
     std::vector<std::vector<fs::Extent>> held;
     sim::Rng rng(1234);
 
@@ -287,144 +284,7 @@ runBlockAllocAged(benchmark::State &state, fs::AllocPolicy policy)
     state.counters["free_extents"] =
         static_cast<double>(alloc.freeExtents());
 }
-
-void
-BM_BlockAllocAged(benchmark::State &state)
-{
-    runBlockAllocAged(state, fs::AllocPolicy::Segregated);
-}
-BENCHMARK(BM_BlockAllocAged);
-
-void
-BM_BlockAllocAgedRef(benchmark::State &state)
-{
-    runBlockAllocAged(state, fs::AllocPolicy::FirstFit);
-}
 BENCHMARK(BM_BlockAllocAgedRef);
-
-/** Frame-churn region: 1 GB (262144 frames, 512 chunks of 2 MB). */
-constexpr std::uint64_t kFrameRegion = 1ULL << 30;
-
-/**
- * Reference frame allocator implementing the *same* chunk-preserving
- * policy as mem::FramePolicy::Buddy (lowest partial 2 MB chunk first,
- * then lowest fully-free chunk, lowest frame within the chunk) the
- * naive way: a byte-per-frame allocated array and linear scans over
- * chunks and frames instead of the word-scanned bitmaps. Placement is
- * bit-identical to Buddy; only the lookup machinery differs. Kept
- * here (not in src/) purely as the "frame_churn" speedup baseline.
- */
-struct RefFrameAlloc
-{
-    static constexpr std::uint64_t kChunk =
-        mem::kHugePageSize / mem::kPageSize;
-
-    RefFrameAlloc(mem::Device &dev, std::uint64_t size)
-        : dev_(dev), totalFrames_(size / mem::kPageSize),
-          allocated_(totalFrames_, 0),
-          used_((totalFrames_ + kChunk - 1) / kChunk, 0)
-    {
-    }
-
-    std::uint64_t
-    chunkSize(std::uint64_t c) const
-    {
-        return std::min(kChunk, totalFrames_ - c * kChunk);
-    }
-
-    mem::Paddr
-    alloc()
-    {
-        std::uint64_t chunk = used_.size();
-        for (std::uint64_t c = 0; c < used_.size(); c++) {
-            if (used_[c] > 0 && used_[c] < chunkSize(c)) {
-                chunk = c;
-                break;
-            }
-        }
-        if (chunk == used_.size()) {
-            for (std::uint64_t c = 0; c < used_.size(); c++) {
-                if (used_[c] == 0) {
-                    chunk = c;
-                    break;
-                }
-            }
-        }
-        if (chunk == used_.size())
-            throw std::bad_alloc();
-        for (std::uint64_t f = chunk * kChunk;
-             f < chunk * kChunk + chunkSize(chunk); f++) {
-            if (allocated_[f] == 0) {
-                allocated_[f] = 1;
-                used_[chunk]++;
-                dev_.zero(f * mem::kPageSize, mem::kPageSize);
-                return f * mem::kPageSize;
-            }
-        }
-        throw std::bad_alloc(); // unreachable: chunk was not full
-    }
-
-    void
-    free(mem::Paddr frame)
-    {
-        const std::uint64_t f = frame / mem::kPageSize;
-        allocated_[f] = 0;
-        used_[f / kChunk]--;
-    }
-
-    mem::Device &dev_;
-    std::uint64_t totalFrames_;
-    std::vector<std::uint8_t> allocated_;
-    std::vector<std::uint32_t> used_;
-};
-
-/**
- * Metadata frame churn at 50% occupancy: free a random held frame,
- * allocate a replacement. The fast side is the Buddy policy (two
- * word-scans over chunk bitmaps); the reference runs the identical
- * placement policy with linear scans. Both zero the frame through the
- * same Device, so the ratio isolates the allocator structure.
- */
-template <typename Alloc>
-void
-runFrameChurn(benchmark::State &state, Alloc &alloc)
-{
-    const std::uint64_t totalFrames = kFrameRegion / mem::kPageSize;
-    std::vector<mem::Paddr> held;
-    held.reserve(totalFrames / 2);
-    for (std::uint64_t i = 0; i < totalFrames / 2; i++)
-        held.push_back(alloc.alloc());
-    sim::Rng rng(77);
-    for (auto _ : state) {
-        const std::uint64_t idx = rng.below(held.size());
-        alloc.free(held[idx]);
-        held[idx] = alloc.alloc();
-        benchmark::DoNotOptimize(held[idx]);
-    }
-}
-
-void
-BM_FrameAllocChurn(benchmark::State &state)
-{
-    sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, kFrameRegion, cm,
-                     mem::Backing::Sparse);
-    mem::FrameAllocator frames(dram, 0, kFrameRegion,
-                               mem::FramePolicy::Buddy);
-    runFrameChurn(state, frames);
-}
-BENCHMARK(BM_FrameAllocChurn);
-
-void
-BM_FrameAllocChurnRef(benchmark::State &state)
-{
-    sim::CostModel cm;
-    mem::Device dram(mem::Kind::Dram, kFrameRegion, cm,
-                     mem::Backing::Sparse);
-    RefFrameAlloc frames(dram, kFrameRegion);
-    runFrameChurn(state, frames);
-}
-BENCHMARK(BM_FrameAllocChurnRef);
 
 void
 BM_DaxVmMmapMunmap(benchmark::State &state)
@@ -577,12 +437,6 @@ writePerfJson(const std::string &path, const bench::FigureData &fig)
     pair("walk_loop", "BM_MmuTranslate", "BM_MmuTranslateNoCache", 1.5);
     pair("flush_loop", "BM_DeviceFlushLoop", "BM_DeviceFlushLoopRef",
          1.5);
-    // Allocator strategies (docs/performance.md): the aged-image alloc
-    // loop is the acceptance gate for the segregated policy; frame
-    // churn gates the Buddy word-scans against the same policy run
-    // with naive linear scans.
-    pair("aged_alloc", "BM_BlockAllocAged", "BM_BlockAllocAgedRef", 1.5);
-    pair("frame_churn", "BM_FrameAllocChurn", "BM_FrameAllocChurnRef", 1.5);
     root["speedups"] = std::move(speedups);
 
     // One BM_EngineRun16Threads iteration is 16 threads x 1000 quanta.

@@ -624,8 +624,7 @@ def synthetic_timeline(starts=(0, 5_000_000), counts=(10, 20),
     }
 
 
-def synthetic_perf(walk_ratio, flush_ratio, aged_ratio=2.5,
-                   frame_ratio=4.0):
+def synthetic_perf(walk_ratio, flush_ratio):
     """A minimal daxvm-bench-perf-v1 document."""
     return {
         "schema": PERF_SCHEMA,
@@ -639,12 +638,6 @@ def synthetic_perf(walk_ratio, flush_ratio, aged_ratio=2.5,
             "flush_loop": {"fast_ns": 30000.0,
                            "ref_ns": 30000.0 * flush_ratio,
                            "ratio": flush_ratio, "min_ratio": 1.5},
-            "aged_alloc": {"fast_ns": 450.0,
-                           "ref_ns": 450.0 * aged_ratio,
-                           "ratio": aged_ratio, "min_ratio": 1.5},
-            "frame_churn": {"fast_ns": 50.0,
-                            "ref_ns": 50.0 * frame_ratio,
-                            "ratio": frame_ratio, "min_ratio": 1.5},
         },
         "events_per_sec": 25e6,
     }
@@ -735,12 +728,6 @@ def cmd_selftest(args):
     checks.append(("perf ratios above minimum pass", not perf_gate(perf)))
     checks.append(("perf ratio below minimum caught",
                    len(perf_gate(synthetic_perf(1.2, 2.6))) == 1))
-    checks.append(("aged-alloc ratio below minimum caught",
-                   len(perf_gate(
-                       synthetic_perf(1.8, 2.6, aged_ratio=1.2))) == 1))
-    checks.append(("frame-churn ratio below minimum caught",
-                   len(perf_gate(
-                       synthetic_perf(1.8, 2.6, frame_ratio=1.2))) == 1))
     checks.append(("baseline without parallel_scaling validates",
                    not validate_perf(synthetic_perf(1.8, 2.6),
                                      "selftest-legacy")))
@@ -762,10 +749,6 @@ def cmd_selftest(args):
     regs, _ = perf_diff_results(perf, synthetic_perf(1.8, 1.7),
                                 PERF_DEFAULT_THRESHOLD)
     checks.append(("perf-diff ratio drop caught", len(regs) == 1))
-    regs, _ = perf_diff_results(
-        perf, synthetic_perf(1.8, 2.6, aged_ratio=1.6),
-        PERF_DEFAULT_THRESHOLD)
-    checks.append(("perf-diff aged-alloc drop caught", len(regs) == 1))
     regs, _ = perf_diff_results(perf, synthetic_perf(3.0, 4.0),
                                 PERF_DEFAULT_THRESHOLD)
     checks.append(("perf-diff improvements pass", not regs))

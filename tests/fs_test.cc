@@ -13,6 +13,7 @@
 #include "fs/file_system.h"
 #include "fs/vfs.h"
 #include "mem/device.h"
+#include "sim/rng.h"
 
 using namespace dax;
 using namespace dax::fs;
@@ -94,6 +95,21 @@ TEST(BlockAllocator, DoubleFreeThrows)
     EXPECT_THROW(alloc.free(got[0]), std::logic_error);
 }
 
+TEST(BlockAllocator, OverlappingFreeThrows)
+{
+    // Regression: only a free starting exactly at a free run's start
+    // was caught; overlapping either end of the run was accepted and
+    // double-counted the shared blocks.
+    BlockAllocator alloc(1024, 0);
+    alloc.alloc(100, 0);
+    alloc.free({10, 10});
+    const auto before = alloc.freeBlocks();
+    EXPECT_THROW(alloc.free({15, 10}), std::logic_error); // run's tail
+    EXPECT_THROW(alloc.free({5, 10}), std::logic_error);  // run's head
+    EXPECT_EQ(alloc.freeBlocks(), before);
+    EXPECT_TRUE(alloc.check().empty());
+}
+
 TEST(BlockAllocator, HugeAlignedPreferenceAlignsLargeFiles)
 {
     BlockAllocator alloc(4096, 0);
@@ -130,6 +146,51 @@ TEST(BlockAllocator, HugeAlignedFreeFractionDegrades)
     for (std::size_t i = 0; i < held.size(); i += 2)
         alloc.free(held[i]);
     EXPECT_LT(alloc.hugeAlignedFreeFraction(), 0.9);
+}
+
+TEST(BlockAllocator, RebuildRoundTrips)
+{
+    BlockAllocator alloc(4096, 0);
+    sim::Rng rng(99);
+    std::vector<Extent> held;
+    for (int i = 0; i < 60; i++) {
+        auto got = alloc.alloc(1 + rng.below(96), rng.below(4096));
+        for (const auto &e : got)
+            held.push_back(e);
+    }
+    for (std::size_t i = 0; i < held.size(); i += 3) {
+        alloc.free(held[i]);
+        held[i] = held.back();
+        held.pop_back();
+    }
+    std::uint64_t allocated = 0;
+    for (const auto &e : held)
+        allocated += e.count;
+
+    // Rebuild from the committed extents: everything else free.
+    EXPECT_EQ(alloc.rebuildFrom(held), 0u);
+    EXPECT_EQ(alloc.freeBlocks(), 4096u - allocated);
+    EXPECT_TRUE(alloc.check().empty());
+
+    // The free map must be exactly the complement of `held`.
+    for (const auto &e : held) {
+        auto again = alloc.alloc(e.count, e.block);
+        bool overlaps = false;
+        for (const auto &g : again)
+            overlaps = overlaps
+                       || (g.block < e.block + e.count
+                           && e.block < g.block + g.count);
+        EXPECT_FALSE(overlaps)
+            << "rebuild left a committed extent allocatable";
+        for (const auto &g : again)
+            alloc.free(g);
+    }
+
+    // Retired extents leave the population permanently.
+    const Extent bad{held[0].block, held[0].count};
+    alloc.rebuildRetired({bad});
+    EXPECT_EQ(alloc.retiredBlocks(), bad.count);
+    EXPECT_TRUE(alloc.check().empty());
 }
 
 // ---------------------------------------------------------------------
@@ -434,12 +495,9 @@ TEST(Aging, ChurnProfileChangesTheSizeDistribution)
 TEST(Aging, PinnedSeedProfileIsBitStable)
 {
     // Frozen residue of one churn profile: any change to the size
-    // draw, watermark arithmetic, or allocator default behaviour shows
-    // up here as a changed count. Values harvested from the current
-    // implementation; both policies age through the identical
-    // create/delete sequence (allocation success depends only on the
-    // free-block count), so file counts match and only the shape of
-    // free space differs.
+    // draw, watermark arithmetic, or allocator placement shows up here
+    // as a changed count. Values harvested from the current
+    // implementation.
     AgingConfig config;
     config.seed = 7;
     config.churnFactor = 2.0;
@@ -448,27 +506,14 @@ TEST(Aging, PinnedSeedProfileIsBitStable)
     config.highWaterDelta = 0.10;
     config.lowWaterDelta = 0.10;
 
-    struct Expect
-    {
-        AllocPolicy policy;
-        std::uint64_t freeExtents;
-    };
-    const Expect expected[] = {
-        {AllocPolicy::FirstFit, 1187},
-        {AllocPolicy::Segregated, 1112},
-    };
-    for (const auto &e : expected) {
-        sim::CostModel cm;
-        mem::Device pmem(mem::Kind::Pmem, 256ULL << 20, cm,
-                         mem::Backing::Sparse);
-        FileSystem fs(Personality::Ext4Dax, pmem, 0, 256ULL << 20, cm,
-                      nullptr, e.policy);
-        const AgingReport r = ageFileSystem(fs, config);
-        EXPECT_EQ(r.filesCreated, 24688u) << "policy " << int(e.policy);
-        EXPECT_EQ(r.filesDeleted, 17045u) << "policy " << int(e.policy);
-        EXPECT_EQ(r.freeExtents, e.freeExtents)
-            << "policy " << int(e.policy);
-    }
+    sim::CostModel cm;
+    mem::Device pmem(mem::Kind::Pmem, 256ULL << 20, cm,
+                     mem::Backing::Sparse);
+    FileSystem fs(Personality::Ext4Dax, pmem, 0, 256ULL << 20, cm);
+    const AgingReport r = ageFileSystem(fs, config);
+    EXPECT_EQ(r.filesCreated, 24688u);
+    EXPECT_EQ(r.filesDeleted, 17045u);
+    EXPECT_EQ(r.freeExtents, 1187u);
 }
 
 TEST(FileSystem, WriteAndFallocateEnospc)
