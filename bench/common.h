@@ -36,7 +36,7 @@
 
 #include "sim/json.h"
 #include "sim/metrics.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "sys/system.h"
 #include "workloads/common.h"
 
@@ -211,7 +211,7 @@ struct BenchResult
             // Tracing-only section: lets tools refuse attribution over
             // lossy traces (satellite: trace.dropped_events). Absent
             // in untraced runs so their JSON stays byte-stable.
-            const auto &rec = sim::Trace::get().spans();
+            const auto &rec = sim::SpanRecorder::get();
             sim::Json trace = sim::Json::object();
             trace["events"] = sim::Json(rec.eventCount());
             trace["dropped_events"] = sim::Json(rec.droppedCount());
@@ -262,7 +262,7 @@ init(int argc, char **argv, const std::string &name)
         }
     }
     if (!result().tracePath.empty() || !result().foldedPath.empty())
-        sim::Trace::get().spans().enableAll();
+        sim::SpanRecorder::get().enableAll();
 }
 
 /** Record the workload seed in the result (default 0 = unseeded). */
@@ -317,7 +317,7 @@ finish()
                          r.tracePath.c_str());
             return 1;
         }
-        sim::Trace::get().spans().writeChromeTrace(f);
+        sim::SpanRecorder::get().writeChromeTrace(f);
         std::fclose(f);
     }
     if (!r.foldedPath.empty()) {
@@ -327,7 +327,7 @@ finish()
                          r.foldedPath.c_str());
             return 1;
         }
-        sim::Trace::get().spans().writeFoldedStacks(f);
+        sim::SpanRecorder::get().writeFoldedStacks(f);
         std::fclose(f);
     }
     if (r.jsonPath.empty())

@@ -491,7 +491,7 @@ main(int argc, char **argv)
     bench::result().tracePath = tracePath;
     bench::result().foldedPath = foldedPath;
     if (!tracePath.empty() || !foldedPath.empty())
-        sim::Trace::get().spans().enableAll();
+        sim::SpanRecorder::get().enableAll();
 
     CaptureReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);

@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::arch {
 
@@ -17,7 +17,7 @@ ShootdownHub::ShootdownHub(const sim::CostModel &cm, unsigned nCores,
       pendingDisruption_(nCores, 0), pendingFlowIds_(nCores),
       ownedMetrics_(metrics != nullptr
                         ? nullptr
-                        : std::make_unique<sim::MetricsRegistry>(nCores)),
+                        : std::make_unique<sim::MetricsRegistry>()),
       metrics_(metrics != nullptr ? metrics : ownedMetrics_.get())
 {
     if (nCores > 64)
@@ -53,7 +53,7 @@ ShootdownHub::remoteCount(CoreMask targets, int self) const
 void
 ShootdownHub::disturbRemotes(sim::Cpu &cpu, CoreMask targets, int self)
 {
-    sim::SpanRecorder &rec = sim::Trace::get().spans();
+    sim::SpanRecorder &rec = sim::SpanRecorder::get();
     const bool flows = rec.enabled(sim::TraceCat::Shootdown);
     for (unsigned c = 0; c < nCores_; c++) {
         if ((targets & coreBit(static_cast<int>(c))) != 0
@@ -94,13 +94,13 @@ ShootdownHub::shootdownPages(sim::Cpu &cpu, CoreMask targets, Asid asid,
     if (fullFlush) {
         local->tlb().flushAsid(asid);
         cpu.advance(cm_.fullFlushLocal);
-        fullFlushes_.addAt(self);
+        fullFlushes_.add();
     } else {
         for (const auto va : pages) {
             local->tlb().invalidatePage(va, asid);
             cpu.advance(cm_.invlpg);
         }
-        invlpg_.addAt(self, pages.size());
+        invlpg_.add(pages.size());
     }
 
     // Remote shootdown: one IPI broadcast regardless of page count
@@ -108,8 +108,8 @@ ShootdownHub::shootdownPages(sim::Cpu &cpu, CoreMask targets, Asid asid,
     const unsigned remotes = remoteCount(targets, self);
     if (remotes > 0) {
         cpu.advance(cm_.shootdownInitiator(remotes));
-        ipis_.addAt(self);
-        ipiTargets_.addAt(self, remotes);
+        ipis_.add();
+        ipiTargets_.add(remotes);
         DAX_TRACE(sim::TraceCat::Shootdown, cpu,
                   "%s pages=%zu remotes=%u",
                   fullFlush ? "full-flush" : "invlpg-batch",
@@ -129,7 +129,7 @@ ShootdownHub::shootdownPages(sim::Cpu &cpu, CoreMask targets, Asid asid,
         }
         disturbRemotes(cpu, targets, self);
     }
-    shootdownNs_.recordAt(self, cpu.now() - begin);
+    shootdownNs_.record(cpu.now() - begin);
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::ShootdownDone, cpu.now());
 }
@@ -142,13 +142,13 @@ ShootdownHub::shootdownFull(sim::Cpu &cpu, CoreMask targets, Asid asid)
     DAX_SPAN(sim::TraceCat::Shootdown, cpu, "shootdown_full");
     mmus_.at(static_cast<unsigned>(self))->tlb().flushAsid(asid);
     cpu.advance(cm_.fullFlushLocal);
-    fullFlushes_.addAt(self);
+    fullFlushes_.add();
 
     const unsigned remotes = remoteCount(targets, self);
     if (remotes > 0) {
         cpu.advance(cm_.shootdownInitiator(remotes));
-        ipis_.addAt(self);
-        ipiTargets_.addAt(self, remotes);
+        ipis_.add();
+        ipiTargets_.add(remotes);
         for (unsigned c = 0; c < nCores_; c++) {
             if ((targets & coreBit(static_cast<int>(c))) != 0
                 && static_cast<int>(c) != self) {
@@ -157,7 +157,7 @@ ShootdownHub::shootdownFull(sim::Cpu &cpu, CoreMask targets, Asid asid)
         }
         disturbRemotes(cpu, targets, self);
     }
-    shootdownNs_.recordAt(self, cpu.now() - begin);
+    shootdownNs_.record(cpu.now() - begin);
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::ShootdownDone, cpu.now());
 }
@@ -172,7 +172,7 @@ ShootdownHub::drainDisruption(sim::Cpu &cpu)
         auto &flows =
             pendingFlowIds_[static_cast<unsigned>(cpu.coreId())];
         if (!flows.empty()) {
-            sim::SpanRecorder &rec = sim::Trace::get().spans();
+            sim::SpanRecorder &rec = sim::SpanRecorder::get();
             if (rec.enabled(sim::TraceCat::Shootdown)) {
                 // Arrows land before the advance: inside the span,
                 // at its begin timestamp.
@@ -184,8 +184,7 @@ ShootdownHub::drainDisruption(sim::Cpu &cpu)
             flows.clear();
         }
         cpu.advance(pending);
-        disruptionNs_.addAt(cpu.coreId(),
-                            static_cast<std::uint64_t>(pending));
+        disruptionNs_.add(static_cast<std::uint64_t>(pending));
         pending = 0;
     }
 }

@@ -8,7 +8,7 @@
 
 #include "arch/pte.h"
 #include "daxvm/ephemeral.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::daxvm {
 
@@ -175,7 +175,7 @@ DaxVm::mmap(sim::Cpu &cpu, vm::AddressSpace &as, fs::Ino ino,
         proto.end = va + mapLen;
         vma = &EphemeralAllocator::insert(cpu, as, proto, cm);
         attachRange(cpu, as, *vma, *table, attachWritable);
-        counters_.mmapEphemeral.addAt(cpu.coreId());
+        counters_.mmapEphemeral.add();
     } else {
         sim::ScopedWriteLock guard(as.mmapSem(), cpu);
         cpu.advance(cm.vmaAlloc);
@@ -184,7 +184,7 @@ DaxVm::mmap(sim::Cpu &cpu, vm::AddressSpace &as, fs::Ino ino,
         proto.end = va + mapLen;
         vma = &as.insertVma(proto);
         attachRange(cpu, as, *vma, *table, attachWritable);
-        counters_.mmap.addAt(cpu.coreId());
+        counters_.mmap.add();
     }
     vmm_.registerMapping(ino, &as, vma->start);
     DAX_TRACE(sim::TraceCat::Daxvm, cpu,
@@ -230,7 +230,7 @@ DaxVm::munmap(sim::Cpu &cpu, vm::AddressSpace &as, std::uint64_t va)
         vma->zombie = true;
         cpu.advance(cm.ephemeralListOp);
         unmapper_.add(as, *vma);
-        counters_.munmapDeferred.addAt(cpu.coreId());
+        counters_.munmapDeferred.add();
         if (unmapper_.needsFlush(as))
             flushZombies(cpu, as);
         return true;
@@ -261,7 +261,7 @@ DaxVm::munmap(sim::Cpu &cpu, vm::AddressSpace &as, std::uint64_t va)
             vmm_.hub().shootdownFull(cpu, as.cpuMask(), as.asid());
         }
     }
-    counters_.munmapSync.addAt(cpu.coreId());
+    counters_.munmapSync.add();
     if (vmm_.checkHook() != nullptr)
         vmm_.checkHook()->onCheck(sim::CheckEvent::Munmap, cpu.now());
     return true;
@@ -305,8 +305,8 @@ DaxVm::flushZombies(sim::Cpu &cpu, vm::AddressSpace &as)
     DAX_TRACE(sim::TraceCat::Daxvm, cpu,
               "zombie flush: %zu mappings, %llu pages", starts.size(),
               (unsigned long long)pages);
-    counters_.zombieFlushes.addAt(cpu.coreId());
-    counters_.zombiePagesFlushed.addAt(cpu.coreId(), pages);
+    counters_.zombieFlushes.add();
+    counters_.zombiePagesFlushed.add(pages);
 }
 
 void
@@ -323,7 +323,7 @@ DaxVm::forceUnmapFile(sim::Cpu &cpu, fs::Ino ino)
         const std::uint64_t pages = reap(cpu, as, *vma);
         if (pages > 0)
             vmm_.hub().shootdownFull(cpu, as.cpuMask(), as.asid());
-        counters_.forcedUnmaps.addAt(cpu.coreId());
+        counters_.forcedUnmaps.add();
     }
 }
 
@@ -411,7 +411,7 @@ DaxVm::pollMonitor(sim::Cpu &cpu, vm::AddressSpace &as, fs::Ino ino)
     }
     tables_.migrateToDram(cpu, ino);
     remapToMirror(cpu, ino);
-    counters_.monitorMigrations.addAt(cpu.coreId());
+    counters_.monitorMigrations.add();
     return true;
 }
 

@@ -421,7 +421,7 @@ FileTableManager::migrateToDram(sim::Cpu &cpu, fs::Ino ino)
     cpu.advance(sim::CostModel::xfer(t.table->bytes(),
                                      cm_.dramWriteBwCore));
     t.useMirror = true;
-    tableMigrations_.addAt(cpu.coreId());
+    tableMigrations_.add();
 }
 
 void
@@ -466,7 +466,7 @@ FileTableManager::onBlocksAllocated(sim::Cpu &cpu, fs::Inode &inode,
         t->dramMirror->populate(nullptr, fileBlock, extent,
                                 fs_.blockAddr(0));
     updateImage(inode, t->table->persistent());
-    tablePopulates_.addAt(cpu.coreId());
+    tablePopulates_.add();
 }
 
 void
@@ -531,7 +531,7 @@ FileTableManager::onBlocksRemapped(sim::Cpu &cpu, fs::Inode &inode,
     repoint(t->table.get(), &cpu);
     repoint(t->dramMirror.get(), nullptr);
     updateImage(inode, t->table->persistent());
-    tablePopulates_.addAt(cpu.coreId());
+    tablePopulates_.add();
     // The swap changed physical translations under live mappings:
     // the facade must fix private copies and flush stale TLB entries
     // (unlike mirror migration, which keeps translations identical).

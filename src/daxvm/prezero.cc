@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::daxvm {
 

@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "sim/fault.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::fs {
 
@@ -90,7 +90,7 @@ FileSystem::create(sim::Cpu &cpu, const std::string &path)
     inodes_.emplace(ino, std::move(node));
     names_.emplace(path, ino);
     journal_.markDirty(ino);
-    counters_.creates.addAt(cpu.coreId());
+    counters_.creates.add();
     return ino;
 }
 
@@ -111,7 +111,7 @@ FileSystem::unlink(sim::Cpu &cpu, const std::string &path)
         h->onInodeEvict(node);
     names_.erase(it);
     inodes_.erase(ino);
-    counters_.unlinks.addAt(cpu.coreId());
+    counters_.unlinks.add();
     return true;
 }
 
@@ -175,15 +175,14 @@ FileSystem::zeroExtents(sim::Cpu &cpu, const std::vector<Extent> &extents,
     DAX_SPAN(sim::TraceCat::Fs, cpu, "zero");
     for (std::size_t i = 0; i < extents.size(); i++) {
         if (i < alreadyZeroed.size() && alreadyZeroed[i]) {
-            counters_.prezeroedBlocks.addAt(cpu.coreId(),
-                                            extents[i].count);
+            counters_.prezeroedBlocks.add(extents[i].count);
             continue; // pre-zeroed by the DaxVM daemon
         }
         const Extent &e = extents[i];
         pmem_.zero(alloc_.blockAddr(e.block), e.bytes());
         pmem_.writeKernel(cpu, alloc_.blockAddr(e.block), e.bytes(),
                           mem::WriteMode::NtStore, mem::Pattern::Seq);
-        counters_.zeroedBlocks.addAt(cpu.coreId(), e.count);
+        counters_.zeroedBlocks.add(e.count);
     }
 }
 
@@ -210,7 +209,7 @@ FileSystem::extendTo(sim::Cpu &cpu, Inode &node, std::uint64_t newBlocks,
         if (got.empty())
             return false; // ENOSPC
         cpu.advance(cm_.blockAllocOp * got.size());
-        counters_.blockAllocs.addAt(cpu.coreId(), got.size());
+        counters_.blockAllocs.add(got.size());
     }
 
     if (zeroPolicy == ZeroPolicy::Synchronous)
@@ -274,7 +273,7 @@ FileSystem::freeAll(sim::Cpu &cpu, Inode &node, std::uint64_t fromBlock)
         cpu.advance(cm_.blockAllocOp);
         node.allocatedCount -= e.count;
         alloc_.free(e, cpu.coreId(), cpu.now());
-        counters_.blocksFreed.addAt(cpu.coreId(), e.count);
+        counters_.blocksFreed.add(e.count);
     }
 }
 
@@ -344,7 +343,7 @@ FileSystem::write(sim::Cpu &cpu, Ino ino, std::uint64_t off, const void *src,
         node.size = end;
         journal_.markDirty(ino);
     }
-    counters_.writeBytes.addAt(cpu.coreId(), len);
+    counters_.writeBytes.add(len);
     return len;
 }
 
@@ -407,7 +406,7 @@ FileSystem::read(sim::Cpu &cpu, Ino ino, std::uint64_t off, void *dst,
         }
         done += chunk;
     }
-    counters_.readBytes.addAt(cpu.coreId(), len);
+    counters_.readBytes.add(len);
     return len;
 }
 
@@ -430,7 +429,7 @@ FileSystem::fallocate(sim::Cpu &cpu, Ino ino, std::uint64_t off,
         node.size = off + len;
         journal_.markDirty(ino);
     }
-    counters_.fallocates.addAt(cpu.coreId());
+    counters_.fallocates.add();
     return true;
 }
 
@@ -450,7 +449,7 @@ FileSystem::ftruncate(sim::Cpu &cpu, Ino ino, std::uint64_t newSize)
     // durable image never doubly claims the released blocks.
     if (shrunk)
         journal_.commit(cpu, ino);
-    counters_.truncates.addAt(cpu.coreId());
+    counters_.truncates.add();
 }
 
 void
@@ -467,10 +466,10 @@ FileSystem::fsync(sim::Cpu &cpu, Ino ino)
     }
     if (lines > 0) {
         cpu.advance(cm_.clwbLine * lines);
-        counters_.fsyncFlushedLines.addAt(cpu.coreId(), lines);
+        counters_.fsyncFlushedLines.add(lines);
     }
     journal_.commit(cpu, ino);
-    counters_.fsyncs.addAt(cpu.coreId());
+    counters_.fsyncs.add();
 }
 
 bool
@@ -697,7 +696,7 @@ FileSystem::allocReplacement(sim::Cpu &cpu, Ino ino, std::uint64_t goal)
         if (got.empty())
             return std::nullopt; // ENOSPC even after draining
         cpu.advance(cm_.blockAllocOp);
-        counters_.blockAllocs.addAt(cpu.coreId(), got.size());
+        counters_.blockAllocs.add(got.size());
         const Extent cand = got[0];
         zeroExtents(cpu, got, zeroed);
         // Check the frame only after zeroing: the zeroing writes
@@ -733,15 +732,20 @@ FileSystem::recordBadBlock(sim::Cpu &cpu, Inode &node,
 bool
 FileSystem::handlePoison(sim::Cpu &cpu, std::uint64_t paddr)
 {
+    const std::uint64_t repairedBefore = mceRepaired_;
+    const std::uint64_t failedBefore = mceFailed_;
     try {
         return handlePoisonImpl(cpu, paddr);
     } catch (const sim::CrashException &) {
         // The machine died inside the repair (planned crash at a
-        // journal commit / zeroing boundary): account the delivery as
-        // reported so mceRaised == mceRepaired + mceFailed stays
+        // journal commit / zeroing boundary). Recovery restores the
+        // committed image, so a repair accounted ahead of its commit
+        // never happened: account the delivery exactly once, as
+        // reported, so mceRaised == mceRepaired + mceFailed stays
         // exact across the crash. A post-recovery retry of the access
         // raises and is handled afresh.
-        mceFailed_++;
+        mceRepaired_ = repairedBefore;
+        mceFailed_ = failedBefore + 1;
         throw;
     }
 }
@@ -766,9 +770,12 @@ FileSystem::handlePoisonImpl(sim::Cpu &cpu, std::uint64_t paddr)
     Inode &node = inode(owner->first);
     const std::uint64_t fileBlock = owner->second;
 
+    // Every path accounts the delivery before its journal commit: the
+    // commit fires the oracle's journal-commit sweep, which must see
+    // this machine check already repaired or reported.
     if (mediaPolicy_ == MediaPolicy::FailFast) {
-        recordBadBlock(cpu, node, fileBlock);
         mceFailed_++;
+        recordBadBlock(cpu, node, fileBlock);
         return false;
     }
 
@@ -776,8 +783,8 @@ FileSystem::handlePoisonImpl(sim::Cpu &cpu, std::uint64_t paddr)
     const auto newBlock = allocReplacement(cpu, node.ino, block);
     if (!newBlock) {
         // No replacement frame: degrade to fail-fast reporting.
-        recordBadBlock(cpu, node, fileBlock);
         mceFailed_++;
+        recordBadBlock(cpu, node, fileBlock);
         return false;
     }
 
@@ -818,8 +825,8 @@ FileSystem::handlePoisonImpl(sim::Cpu &cpu, std::uint64_t paddr)
     intervalErase(node.badBlocks, fileBlock, 1);
     journal_.markDirty(node.ino);
     journal_.recordRetired(node.ino, Extent{block, 1});
-    journal_.commit(cpu, node.ino);
     mceRepaired_++;
+    journal_.commit(cpu, node.ino);
     DAX_TRACE(sim::TraceCat::Fs, cpu, "mce_remap ino=%llu file_block=%llu",
               static_cast<unsigned long long>(node.ino),
               static_cast<unsigned long long>(fileBlock));

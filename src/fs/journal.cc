@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::fs {
 
@@ -88,7 +88,7 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
         DAX_SPAN(sim::TraceCat::Fs, cpu, "journal_commit");
         sim::ScopedLock guard(lock_, cpu);
         chargeCommit(cpu);
-        commitNs_.recordAt(cpu.coreId(), cpu.now() - begin);
+        commitNs_.record(cpu.now() - begin);
         for (const Ino b : batch)
             snapshot(b);
         if (batch.size() > 1)
@@ -101,7 +101,7 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
         const sim::Time begin = cpu.now();
         DAX_SPAN(sim::TraceCat::Fs, cpu, "journal_commit");
         chargeCommit(cpu);
-        commitNs_.recordAt(cpu.coreId(), cpu.now() - begin);
+        commitNs_.record(cpu.now() - begin);
         snapshot(ino);
         dirty_.erase(ino);
     }
@@ -120,7 +120,7 @@ Journal::commitErase(sim::Cpu &cpu, Ino ino)
     } else {
         chargeCommit(cpu);
     }
-    commitNs_.recordAt(cpu.coreId(), cpu.now() - begin);
+    commitNs_.record(cpu.now() - begin);
     mergeRetired(ino);
     committed_.erase(ino);
     dirty_.erase(ino);
@@ -140,7 +140,7 @@ Journal::commitAll(sim::Cpu &cpu)
         DAX_SPAN(sim::TraceCat::Fs, cpu, "journal_commit");
         sim::ScopedLock guard(lock_, cpu);
         chargeCommit(cpu);
-        commitNs_.recordAt(cpu.coreId(), cpu.now() - begin);
+        commitNs_.record(cpu.now() - begin);
         for (const Ino ino : batch)
             snapshot(ino);
         batchedInodes_ += batch.size();
@@ -149,7 +149,7 @@ Journal::commitAll(sim::Cpu &cpu)
             const sim::Time begin = cpu.now();
             DAX_SPAN(sim::TraceCat::Fs, cpu, "journal_commit");
             chargeCommit(cpu);
-            commitNs_.recordAt(cpu.coreId(), cpu.now() - begin);
+            commitNs_.record(cpu.now() - begin);
             snapshot(ino);
         }
     }

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::latr {
 
@@ -56,7 +56,7 @@ Latr::lazyShootdown(sim::Cpu &cpu, arch::CoreMask targets,
         }
     }
 
-    sim::SpanRecorder &rec = sim::Trace::get().spans();
+    sim::SpanRecorder &rec = sim::SpanRecorder::get();
     const bool flows = rec.enabled(sim::TraceCat::Latr);
     for (unsigned c = 0; c < pending_.size(); c++) {
         if (static_cast<int>(c) == self
@@ -97,7 +97,7 @@ Latr::drain(sim::Cpu &cpu)
     auto &flows =
         pendingFlowIds_.at(static_cast<unsigned>(cpu.coreId()));
     if (!flows.empty()) {
-        sim::SpanRecorder &rec = sim::Trace::get().spans();
+        sim::SpanRecorder &rec = sim::SpanRecorder::get();
         if (rec.enabled(sim::TraceCat::Latr)) {
             for (const std::uint64_t id : flows)
                 rec.flowEnd(sim::TraceCat::Latr, sim::spanTrackOf(cpu),

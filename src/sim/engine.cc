@@ -9,7 +9,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::sim {
 
@@ -70,7 +70,7 @@ Engine::wake(int threadId, Time notBefore)
     // Causal arrow waker -> woken daemon. Bookkeeping only: no virtual
     // time moves.
     if (stepping_ >= 0) {
-        SpanRecorder &rec = Trace::get().spans();
+        SpanRecorder &rec = SpanRecorder::get();
         if (rec.enabled(TraceCat::Sched)) {
             const std::uint64_t id = rec.flowStart(
                 TraceCat::Sched, static_cast<std::uint32_t>(stepping_),

@@ -21,8 +21,8 @@
 
 #include "sim/busy_intervals.h"
 #include "sim/engine.h"
+#include "sim/span_trace.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace dax::sim {
 
@@ -34,7 +34,7 @@ namespace dax::sim {
 inline void
 traceLockWait(Cpu &cpu, const std::string &lockName, Time requested)
 {
-    SpanRecorder &rec = Trace::get().spans();
+    SpanRecorder &rec = SpanRecorder::get();
     if (rec.enabled(TraceCat::Lock) && cpu.now() > requested) {
         rec.span(TraceCat::Lock, spanTrackOf(cpu), cpu.coreId(),
                  requested, cpu.now(), "lock_wait", lockName);

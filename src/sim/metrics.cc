@@ -10,7 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::sim {
 
@@ -111,19 +111,6 @@ HistogramData::percentile(double p) const
 }
 
 // ---------------------------------------------------------------------
-// Handles
-// ---------------------------------------------------------------------
-
-HistogramData
-LatencyHistogram::merged() const
-{
-    HistogramData out;
-    for (unsigned i = 0; i < nShards_; i++)
-        out.merge(shards_[i]);
-    return out;
-}
-
-// ---------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------
 
@@ -142,16 +129,6 @@ MetricsRegistry::intern(const std::string &name, MetricKind kind)
     Entry &entry = entries_.back();
     entry.name = name;
     entry.kind = kind;
-    switch (kind) {
-    case MetricKind::Counter:
-        entry.slots.assign(shards_, 0);
-        break;
-    case MetricKind::Gauge:
-        break;
-    case MetricKind::Histogram:
-        entry.hists.assign(shards_, HistogramData{});
-        break;
-    }
     index_.emplace(name, entries_.size() - 1);
     return entry;
 }
@@ -167,8 +144,7 @@ Counter
 MetricsRegistry::counter(const std::string &name)
 {
     Entry &entry = intern(name, MetricKind::Counter);
-    return Counter(entry.slots.data(),
-                   static_cast<unsigned>(entry.slots.size()));
+    return Counter(&entry.counter);
 }
 
 Gauge
@@ -182,20 +158,16 @@ LatencyHistogram
 MetricsRegistry::histogram(const std::string &name)
 {
     Entry &entry = intern(name, MetricKind::Histogram);
-    return LatencyHistogram(entry.hists.data(),
-                            static_cast<unsigned>(entry.hists.size()));
+    return LatencyHistogram(&entry.hist);
 }
 
 std::uint64_t
 MetricsRegistry::counterValue(const std::string &name) const
 {
     const Entry *entry = lookup(name);
-    if (entry == nullptr || entry->kind != MetricKind::Counter)
-        return 0;
-    std::uint64_t total = 0;
-    for (const auto v : entry->slots)
-        total += v;
-    return total;
+    return entry != nullptr && entry->kind == MetricKind::Counter
+               ? entry->counter
+               : 0;
 }
 
 double
@@ -210,13 +182,10 @@ MetricsRegistry::gaugeValue(const std::string &name) const
 HistogramData
 MetricsRegistry::histogramValue(const std::string &name) const
 {
-    HistogramData out;
     const Entry *entry = lookup(name);
-    if (entry == nullptr || entry->kind != MetricKind::Histogram)
-        return out;
-    for (const auto &h : entry->hists)
-        out.merge(h);
-    return out;
+    return entry != nullptr && entry->kind == MetricKind::Histogram
+               ? entry->hist
+               : HistogramData{};
 }
 
 void
@@ -236,31 +205,22 @@ MetricsRegistry::snapshot()
 MetricsSnapshot
 MetricsRegistry::peek() const
 {
-    // Deterministic roll-up contract: per-core slots merge in
-    // ascending slot index, and the snapshot orders instruments by
-    // name (std::map), never by registration order. Asserted below so
-    // a future container swap cannot silently break byte-stable
+    // Deterministic roll-up contract: the snapshot orders instruments
+    // by name (std::map), never by registration order. Asserted below
+    // so a future container swap cannot silently break byte-stable
     // output.
     MetricsSnapshot snap;
     for (const auto &entry : entries_) {
         switch (entry.kind) {
-        case MetricKind::Counter: {
-            std::uint64_t total = 0;
-            for (const auto v : entry.slots)
-                total += v;
-            snap.counters.emplace(entry.name, total);
+        case MetricKind::Counter:
+            snap.counters.emplace(entry.name, entry.counter);
             break;
-        }
         case MetricKind::Gauge:
             snap.gauges.emplace(entry.name, entry.gauge);
             break;
-        case MetricKind::Histogram: {
-            HistogramData merged;
-            for (const auto &h : entry.hists)
-                merged.merge(h);
-            snap.histograms.emplace(entry.name, merged);
+        case MetricKind::Histogram:
+            snap.histograms.emplace(entry.name, entry.hist);
             break;
-        }
         }
     }
     const auto nameSorted = [](const auto &m) {
@@ -280,9 +240,9 @@ void
 MetricsRegistry::reset()
 {
     for (auto &entry : entries_) {
-        entry.slots.assign(entry.slots.size(), 0);
+        entry.counter = 0;
         entry.gauge = 0.0;
-        entry.hists.assign(entry.hists.size(), HistogramData{});
+        entry.hist = HistogramData{};
     }
 }
 
@@ -481,7 +441,7 @@ MetricsTimeline::roll(Time boundary, std::uint32_t traceTrack)
             continue;
         hists[name] = histWindowJson(d);
         if (traceTrack != kNoTrack) {
-            Trace::get().spans().counterSample(
+            SpanRecorder::get().counterSample(
                 traceTrack, boundary, name + ".win_p99",
                 d.percentile(0.99));
         }

@@ -8,9 +8,7 @@
  * string hashing per event.
  * Three instrument kinds cover the paper's evaluation needs:
  *
- *  - Counter: monotonically increasing event count, optionally
- *    sharded per simulated core so concurrent workloads do not fight
- *    over one slot and per-core breakdowns stay available;
+ *  - Counter: monotonically increasing event count;
  *  - Gauge: last-written value, typically published by a *collector*
  *    callback at snapshot time (device channel bytes, lock wait
  *    times, pool depths - state tracked elsewhere);
@@ -24,9 +22,8 @@
  * to JSON (and parses back - see tests/metrics_test.cc).
  *
  * Nothing here takes locks: a registry belongs to one System, whose
- * engine steps on a single host thread, and snapshots roll up between
- * runs. The roll-up order (ascending slot index, instruments by name)
- * is deterministic and asserted in peek().
+ * engine steps on a single host thread, so every instrument is one
+ * slot. Snapshots order instruments by name, asserted in peek().
  */
 #pragma once
 
@@ -100,43 +97,23 @@ class Counter
   public:
     Counter() = default;
 
-    /** Hot path: increment shard 0. */
+    /** Hot path: one pointer-indirect add. */
     void
     add(std::uint64_t delta = 1)
     {
-        if (slots_ != nullptr)
-            slots_[0] += delta;
+        if (slot_ != nullptr)
+            *slot_ += delta;
     }
 
-    /** Increment the shard of core @p shard (clamped to shard 0). */
-    void
-    addAt(int shard, std::uint64_t delta = 1)
-    {
-        if (slots_ != nullptr)
-            slots_[static_cast<unsigned>(shard) < shards_ ? shard : 0]
-                += delta;
-    }
+    std::uint64_t value() const { return slot_ == nullptr ? 0 : *slot_; }
 
-    /** Merged value across shards. */
-    std::uint64_t
-    value() const
-    {
-        std::uint64_t total = 0;
-        for (unsigned i = 0; i < shards_; i++)
-            total += slots_[i];
-        return total;
-    }
-
-    bool bound() const { return slots_ != nullptr; }
+    bool bound() const { return slot_ != nullptr; }
 
   private:
     friend class MetricsRegistry;
-    Counter(std::uint64_t *slots, unsigned shards)
-        : slots_(slots), shards_(shards)
-    {}
+    explicit Counter(std::uint64_t *slot) : slot_(slot) {}
 
-    std::uint64_t *slots_ = nullptr;
-    unsigned shards_ = 0;
+    std::uint64_t *slot_ = nullptr;
 };
 
 /** Gauge handle (see Counter for binding rules). */
@@ -178,34 +155,27 @@ class LatencyHistogram
     void
     record(std::uint64_t v)
     {
-        if (shards_ != nullptr)
-            shards_[0].record(v);
+        if (data_ != nullptr)
+            data_->record(v);
     }
 
-    void
-    recordAt(int shard, std::uint64_t v)
+    /** Copy of the distribution (empty when unbound). */
+    HistogramData
+    value() const
     {
-        if (shards_ != nullptr)
-            shards_[static_cast<unsigned>(shard) < nShards_ ? shard : 0]
-                .record(v);
+        return data_ == nullptr ? HistogramData{} : *data_;
     }
 
-    /** Merge all shards into one distribution. */
-    HistogramData merged() const;
-
-    bool bound() const { return shards_ != nullptr; }
+    bool bound() const { return data_ != nullptr; }
 
   private:
     friend class MetricsRegistry;
-    LatencyHistogram(HistogramData *shards, unsigned nShards)
-        : shards_(shards), nShards_(nShards)
-    {}
+    explicit LatencyHistogram(HistogramData *data) : data_(data) {}
 
-    HistogramData *shards_ = nullptr;
-    unsigned nShards_ = 0;
+    HistogramData *data_ = nullptr;
 };
 
-/** Point-in-time copy of every instrument, merged across shards. */
+/** Point-in-time copy of every instrument. */
 struct MetricsSnapshot
 {
     std::map<std::string, std::uint64_t> counters;
@@ -244,15 +214,9 @@ struct MetricsSnapshot
 class MetricsRegistry
 {
   public:
-    /** @param shards per-core slots for sharded instruments (>= 1). */
-    explicit MetricsRegistry(unsigned shards = 1)
-        : shards_(shards == 0 ? 1 : shards)
-    {}
-
+    MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry &) = delete;
     MetricsRegistry &operator=(const MetricsRegistry &) = delete;
-
-    unsigned shards() const { return shards_; }
 
     /**
      * Intern an instrument. Repeated calls with the same name return
@@ -268,7 +232,7 @@ class MetricsRegistry
         return index_.count(name) != 0;
     }
 
-    /** Merged counter value; 0 when @p name is absent or not a counter. */
+    /** Counter value; 0 when @p name is absent or not a counter. */
     std::uint64_t counterValue(const std::string &name) const;
     double gaugeValue(const std::string &name) const;
     HistogramData histogramValue(const std::string &name) const;
@@ -287,7 +251,7 @@ class MetricsRegistry
     /** Run all collectors (snapshot() does this automatically). */
     void collect();
 
-    /** Collect, then copy out every instrument merged across shards. */
+    /** Collect, then copy out every instrument. */
     MetricsSnapshot snapshot();
 
     /** Copy without running collectors (gauges may be stale). */
@@ -301,15 +265,14 @@ class MetricsRegistry
     {
         std::string name;
         MetricKind kind;
-        std::vector<std::uint64_t> slots;     ///< Counter shards
-        double gauge = 0.0;                   ///< Gauge value
-        std::vector<HistogramData> hists;     ///< Histogram shards
+        std::uint64_t counter = 0; ///< Counter value
+        double gauge = 0.0;        ///< Gauge value
+        HistogramData hist;        ///< Histogram distribution
     };
 
     Entry &intern(const std::string &name, MetricKind kind);
     const Entry *lookup(const std::string &name) const;
 
-    unsigned shards_;
     std::deque<Entry> entries_; ///< deque: handles stay stable
     std::map<std::string, std::size_t> index_;
     std::vector<std::function<void()>> collectors_;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdlib>
 #include <cstring>
 
@@ -169,6 +170,43 @@ appendEventJson(std::string &buf, std::uint32_t pid, std::uint32_t track,
 
 } // namespace
 
+const char *
+traceCatName(TraceCat cat)
+{
+    switch (cat) {
+      case TraceCat::Fault:
+        return "fault";
+      case TraceCat::Mmap:
+        return "mmap";
+      case TraceCat::Shootdown:
+        return "shootdown";
+      case TraceCat::Fs:
+        return "fs";
+      case TraceCat::Daxvm:
+        return "daxvm";
+      case TraceCat::Prezero:
+        return "prezero";
+      case TraceCat::Latr:
+        return "latr";
+      case TraceCat::Lock:
+        return "lock";
+      case TraceCat::Openloop:
+        return "openloop";
+      case TraceCat::Sched:
+        return "sched";
+      case TraceCat::kCount:
+        break;
+    }
+    return "?";
+}
+
+SpanRecorder &
+SpanRecorder::get()
+{
+    static SpanRecorder instance;
+    return instance;
+}
+
 SpanRecorder::SpanRecorder()
     : capacity_(kDefaultCapacity), samplePeriod_(kDefaultSamplePeriod)
 {
@@ -297,6 +335,18 @@ SpanRecorder::instant(TraceCat cat, std::uint32_t track, int core, Time ts,
 }
 
 void
+SpanRecorder::instantf(TraceCat cat, std::uint32_t track, int core,
+                       Time ts, const char *fmt, ...)
+{
+    char body[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(body, sizeof(body), fmt, args);
+    va_end(args);
+    instant(cat, track, core, ts, traceCatName(cat), body);
+}
+
+void
 SpanRecorder::counterSample(std::uint32_t track, Time ts,
                             const std::string &name, std::uint64_t value)
 {
@@ -421,6 +471,13 @@ SpanRecorder::clear()
     nextPid_ = 2;
     nextSampleAt_ = 0;
     counterSource_ = nullptr;
+}
+
+void
+SpanRecorder::reset()
+{
+    disableAll();
+    clear();
 }
 
 std::uint64_t

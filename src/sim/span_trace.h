@@ -5,12 +5,13 @@
  * The recorder keeps one bounded ring of typed events per (process,
  * track): Begin/End spans (nesting: a `fault` span contains its
  * `pt_walk`, `frame_alloc`, `zero`, `journal_commit` and shootdown
- * children), Instant events (the old DAX_TRACE text lines, recorded
- * structurally), and periodic Counter samples pulled from the attached
- * sim::MetricsRegistry. Tracks map to simulated hardware threads and
- * daemons; each sys::System registers as one process so traces from
- * sequential Systems (whose engine clocks restart at zero) stay
- * monotone per track.
+ * children), Instant events (DAX_TRACE call sites, named after their
+ * category, with the formatted arguments as detail), and periodic
+ * Counter samples pulled from the attached sim::MetricsRegistry.
+ * Tracks map to simulated hardware threads and daemons; each
+ * sys::System registers as one process so traces from sequential
+ * Systems (whose engine clocks restart at zero) stay monotone per
+ * track.
  *
  * Two exporters: Chrome `trace_event` JSON (loadable in Perfetto) and
  * Brendan-Gregg folded stacks (flamegraphs). analyzeChromeTrace() is
@@ -21,8 +22,8 @@
  * branch per call site when off. Recording never advances virtual
  * time, so traced runs are bit-identical to untraced ones.
  *
- * The recorder is shared process-wide (Trace::get()) and, like the
- * engine, single-threaded. Tracks map to engine thread ids, so per-
+ * The recorder is shared process-wide (SpanRecorder::get()) and, like
+ * the engine, single-threaded. Tracks map to engine thread ids, so per-
  * track event order (and thus export order) is a pure function of
  * the simulation.
  */
@@ -34,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/engine.h"
 #include "sim/time.h"
 
 namespace dax::sim {
@@ -41,7 +43,7 @@ namespace dax::sim {
 class Json;
 class MetricsRegistry;
 
-/** Trace categories, shared by the text renderer and the span recorder. */
+/** Trace categories: each is enabled or disabled as a unit. */
 enum class TraceCat : unsigned
 {
     Fault = 0,
@@ -113,6 +115,12 @@ class SpanRecorder
   public:
     SpanRecorder();
 
+    /**
+     * Process-wide recorder used by every call site (reads
+     * DAXVM_TRACE_EVENTS on first use).
+     */
+    static SpanRecorder &get();
+
     bool
     enabled(TraceCat cat) const
     {
@@ -154,6 +162,14 @@ class SpanRecorder
               Time endTs, const char *name, std::string detail = {});
     void instant(TraceCat cat, std::uint32_t track, int core, Time ts,
                  const char *name, std::string detail = {});
+    /**
+     * printf-style Instant named traceCatName(@p cat), with the
+     * formatted text (at most 511 bytes) as its detail. DAX_TRACE
+     * checks enabled() first, so a disabled category formats nothing.
+     */
+    void instantf(TraceCat cat, std::uint32_t track, int core, Time ts,
+                  const char *fmt, ...)
+        __attribute__((format(printf, 6, 7)));
     void counterSample(std::uint32_t track, Time ts,
                        const std::string &name, std::uint64_t value);
 
@@ -201,6 +217,13 @@ class SpanRecorder
 
     /** Drop all recorded events and process state; keep the mask. */
     void clear();
+
+    /**
+     * Disable every category and clear(). Lets tests sandbox tracing
+     * instead of leaking enabled categories into later tests in the
+     * same binary.
+     */
+    void reset();
 
     std::uint64_t eventCount() const;
     std::uint64_t droppedCount() const;
@@ -258,6 +281,77 @@ class SpanRecorder
         exemplars_;
     MetricsRegistry *counterSource_ = nullptr;
 };
+
+/** Span track of a Cpu: engine thread id, or a scratch-Cpu track. */
+inline std::uint32_t
+spanTrackOf(const Cpu &cpu)
+{
+    const auto id = static_cast<std::uint32_t>(cpu.threadId());
+    // Scratch Cpus commonly carry threadId -1: mask to 16 bits so the
+    // scratch track space never wraps into the engine-thread range.
+    return cpu.engine() != nullptr ? id
+                                   : kScratchTrackBase + (id & 0xffffu);
+}
+
+/**
+ * Call-site helper: one Instant on @p cpu's track, printf-style. A
+ * no-op (one branch, nothing formatted) when the category is off.
+ */
+#define DAX_TRACE(cat, cpu, ...)                                        \
+    do {                                                                \
+        auto &daxTraceRec = ::dax::sim::SpanRecorder::get();            \
+        if (daxTraceRec.enabled(cat))                                   \
+            daxTraceRec.instantf(cat, ::dax::sim::spanTrackOf(cpu),     \
+                                 (cpu).coreId(), (cpu).now(),           \
+                                 __VA_ARGS__);                          \
+    } while (0)
+
+/**
+ * RAII Begin/End span scope. Cheap when recording is off: the
+ * constructor takes one predictable branch and leaves the scope inert.
+ * The name must be a static string literal.
+ */
+class SpanScope
+{
+  public:
+    SpanScope(TraceCat cat, const Cpu &cpu, const char *name)
+    {
+        SpanRecorder &rec = SpanRecorder::get();
+        if (rec.enabled(cat)) {
+            rec_ = &rec;
+            cpu_ = &cpu;
+            cat_ = cat;
+            name_ = name;
+            rec.begin(cat, spanTrackOf(cpu), cpu.coreId(), cpu.now(),
+                      name);
+        }
+    }
+
+    ~SpanScope()
+    {
+        if (rec_ != nullptr) {
+            rec_->end(cat_, spanTrackOf(*cpu_), cpu_->coreId(),
+                      cpu_->now(), name_);
+        }
+    }
+
+    SpanScope(const SpanScope &) = delete;
+    SpanScope &operator=(const SpanScope &) = delete;
+
+  private:
+    SpanRecorder *rec_ = nullptr;
+    const Cpu *cpu_ = nullptr;
+    const char *name_ = nullptr;
+    TraceCat cat_{};
+};
+
+#define DAX_SPAN_CONCAT2(a, b) a##b
+#define DAX_SPAN_CONCAT(a, b) DAX_SPAN_CONCAT2(a, b)
+
+/** Scope the rest of the block as one named span on @p cpu's track. */
+#define DAX_SPAN(cat, cpu, name)                                        \
+    ::dax::sim::SpanScope DAX_SPAN_CONCAT(daxSpanScope_, __COUNTER__)(  \
+        cat, cpu, name)
 
 /** Aggregate statistics for one span name. */
 struct SpanStat

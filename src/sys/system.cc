@@ -11,12 +11,12 @@
 #include <vector>
 
 #include "check/check.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::sys {
 
 System::System(const SystemConfig &config)
-    : config_(config), metrics_(config.cores), engine_(config.cores),
+    : config_(config), engine_(config.cores),
       pmem_(mem::Kind::Pmem, config.pmemBytes + config.pmemTableBytes,
             config_.cm, config.backing == mem::Backing::None
                             ? mem::Backing::Sparse
@@ -92,12 +92,12 @@ System::System(const SystemConfig &config)
     // Give this System its own process id in the span trace so that
     // traces from sequential Systems (whose virtual clocks restart at
     // zero) land on distinct, internally-monotone tracks.
-    sim::Trace::get().spans().attachProcess(&metrics_, "system");
+    sim::SpanRecorder::get().attachProcess(&metrics_, "system");
 }
 
 System::~System()
 {
-    sim::Trace::get().spans().detachProcess(&metrics_);
+    sim::SpanRecorder::get().detachProcess(&metrics_);
     if (oracle_ != nullptr) {
         // Final leak sweep while every subsystem is still alive, then
         // detach the hooks so nothing fires into a dead oracle while
@@ -125,7 +125,7 @@ System::timelineTickSlow(sim::Cpu &cpu)
 {
     // Chrome counter tracks only make sense when spans are being
     // recorded; otherwise tick without a trace track.
-    sim::SpanRecorder &rec = sim::Trace::get().spans();
+    sim::SpanRecorder &rec = sim::SpanRecorder::get();
     timeline_->tick(cpu.now(), rec.anyEnabled()
                                    ? sim::spanTrackOf(cpu)
                                    : sim::MetricsTimeline::kNoTrack);

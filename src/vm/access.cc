@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "vm/address_space.h"
 
 namespace dax::vm {

@@ -9,7 +9,7 @@
 #include <stdexcept>
 
 #include "arch/pte.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 
 namespace dax::vm {
 
@@ -154,7 +154,7 @@ AddressSpace::mmap(sim::Cpu &cpu, fs::Ino ino, std::uint64_t off,
         Vma *vma = findVma(va);
         populateRange(cpu, *vma, 0, len, /*forWrite=*/false);
     }
-    vmm_.counters().mmap.addAt(cpu.coreId());
+    vmm_.counters().mmap.add();
     DAX_TRACE(sim::TraceCat::Mmap, cpu,
               "mmap ino=%llu off=0x%llx len=0x%llx -> va=0x%llx",
               (unsigned long long)ino, (unsigned long long)off,
@@ -268,7 +268,7 @@ AddressSpace::munmap(sim::Cpu &cpu, std::uint64_t va, std::uint64_t len)
             vmm_.registerMapping(tail.ino, this, tail.start);
         }
     }
-    vmm_.counters().munmap.addAt(cpu.coreId());
+    vmm_.counters().munmap.add();
     DAX_TRACE(sim::TraceCat::Mmap, cpu, "munmap va=0x%llx len=0x%llx",
               (unsigned long long)va, (unsigned long long)len);
     if (vmm_.checkHook() != nullptr)
@@ -347,7 +347,7 @@ AddressSpace::mprotect(sim::Cpu &cpu, std::uint64_t va, std::uint64_t len,
         vmm_.hub().shootdownPages(cpu, cpuMask_, asid_, pages,
                                   downgraded);
     }
-    vmm_.counters().mprotect.addAt(cpu.coreId());
+    vmm_.counters().mprotect.add();
     return true;
 }
 
@@ -426,7 +426,7 @@ AddressSpace::fork(sim::Cpu &cpu)
             va = base + span;
         }
     }
-    vmm_.counters().forks.addAt(cpu.coreId());
+    vmm_.counters().forks.add();
     return child;
 }
 
@@ -464,7 +464,7 @@ AddressSpace::mremap(sim::Cpu &cpu, std::uint64_t oldVa,
                                       zapped);
         cpu.advance(vmm_.cm().vmaSplit);
         vma->end = zs;
-        vmm_.counters().mremap.addAt(cpu.coreId());
+        vmm_.counters().mremap.add();
         return vma->start;
     }
 
@@ -480,7 +480,7 @@ AddressSpace::mremap(sim::Cpu &cpu, std::uint64_t oldVa,
         // mapping lands inside it.
         if (vma->end > vaBump_)
             vaBump_ = vma->end;
-        vmm_.counters().mremap.addAt(cpu.coreId());
+        vmm_.counters().mremap.add();
         return vma->start;
     }
 
@@ -529,7 +529,7 @@ AddressSpace::mremap(sim::Cpu &cpu, std::uint64_t oldVa,
     insertVma(rest);
     vmm_.registerMapping(rest.ino, this, newStart);
     cpu.advance(vmm_.cm().vmaFree);
-    vmm_.counters().mremapMoves.addAt(cpu.coreId());
+    vmm_.counters().mremapMoves.add();
     return newStart;
 }
 
@@ -543,7 +543,7 @@ AddressSpace::msync(sim::Cpu &cpu, std::uint64_t va, std::uint64_t len)
         return false;
     if (vma->daxvm && (vma->flags & kMapNoMsync) != 0) {
         // nosync mode: msync is a documented no-op (Section IV-D).
-        vmm_.counters().msyncNoop.addAt(cpu.coreId());
+        vmm_.counters().msyncNoop.add();
         return true;
     }
     const std::uint64_t end = std::min(va + len, vma->end);

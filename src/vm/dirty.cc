@@ -8,7 +8,7 @@
 #include <algorithm>
 
 #include "arch/pte.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "vm/address_space.h"
 
 namespace dax::vm {
@@ -175,7 +175,7 @@ VmManager::markDirty(sim::Cpu &cpu, fs::Ino ino, std::uint64_t startPage,
 {
     cpu.advance(cm_.dirtyTag);
     dirtySetInsert(inodeVm(ino).dirty, startPage, count);
-    counters_.dirtyTags.addAt(cpu.coreId());
+    counters_.dirtyTags.add();
 }
 
 const DirtySet &
@@ -231,7 +231,7 @@ VmManager::syncFile(sim::Cpu &cpu, fs::Ino ino, std::uint64_t off,
             fs_.device().flushRange(fs_.blockAddr(extent.block),
                                     extent.bytes());
         }
-        counters_.syncWholeFile.addAt(cpu.coreId());
+        counters_.syncWholeFile.add();
     }
 
     // Flush dirty intervals in range and collect pages to re-protect.
@@ -272,7 +272,7 @@ VmManager::syncFile(sim::Cpu &cpu, fs::Ino ino, std::uint64_t off,
             iv.dirty.emplace(start, s - start);
         if (start + count > e)
             iv.dirty.emplace(e, start + count - e);
-        counters_.syncFlushedPages.addAt(cpu.coreId(), e - s);
+        counters_.syncFlushedPages.add(e - s);
     }
 
     // Write-protect flushed pages in every mapping process to restart
@@ -357,7 +357,7 @@ VmManager::syncFile(sim::Cpu &cpu, fs::Ino ino, std::uint64_t off,
     }
 
     fs_.journal().commit(cpu, ino);
-    counters_.syncs.addAt(cpu.coreId());
+    counters_.syncs.add();
 }
 
 void
@@ -402,7 +402,7 @@ VmManager::onBlocksFreeing(sim::Cpu &cpu, fs::Inode &inode,
             hub_.shootdownPages(cpu, as->cpuMask(), as->asid(), pages,
                                 zapped);
         }
-        counters_.truncateZaps.addAt(cpu.coreId(), zapped);
+        counters_.truncateZaps.add(zapped);
     }
 }
 

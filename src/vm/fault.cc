@@ -18,7 +18,7 @@
 #include <stdexcept>
 
 #include "arch/pte.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "vm/address_space.h"
 
 namespace dax::vm {
@@ -138,7 +138,7 @@ AddressSpace::installTranslation(sim::Cpu &cpu, Vma &vma, std::uint64_t va,
         cpu.advance(asHuge ? vmm_.cm().pmdSet : vmm_.cm().pteSet);
     }
     if (trapped)
-        vmm_.counters().majorFaults.addAt(cpu.coreId());
+        vmm_.counters().majorFaults.add();
 
     if (forWrite && tracked)
         makeWritable(cpu, vma, base, asHuge ? 21 : 12);
@@ -152,7 +152,7 @@ AddressSpace::handleFault(sim::Cpu &cpu, std::uint64_t va, bool write)
     DAX_SPAN(sim::TraceCat::Fault, cpu, "fault");
     cpu.advance(vmm_.cm().faultEntry);
     noteCore(cpu.coreId());
-    vmm_.counters().faults.addAt(cpu.coreId());
+    vmm_.counters().faults.add();
     DAX_TRACE(sim::TraceCat::Fault, cpu, "%s va=0x%llx core=%d",
               write ? "write" : "read", (unsigned long long)va,
               cpu.coreId());
@@ -166,8 +166,7 @@ AddressSpace::handleFault(sim::Cpu &cpu, std::uint64_t va, bool write)
     if (!walk.present) {
         const bool ok =
             installTranslation(cpu, *vma, va, write, /*trapped=*/true);
-        vmm_.counters().faultNs.recordAt(cpu.coreId(),
-                                         cpu.now() - faultBegin);
+        vmm_.counters().faultNs.record(cpu.now() - faultBegin);
         return ok;
     }
 
@@ -202,15 +201,13 @@ AddressSpace::handleFault(sim::Cpu &cpu, std::uint64_t va, bool write)
             vmm_.markDirty(cpu, vma->ino, filePage,
                            span / fs::kBlockSize);
             vmm_.hub().mmu(cpu.coreId()).tlb().invalidatePage(va, asid_);
-            vmm_.counters().daxvmWpFaults.addAt(cpu.coreId());
-            vmm_.counters().faultNs.recordAt(cpu.coreId(),
-                                             cpu.now() - faultBegin);
+            vmm_.counters().daxvmWpFaults.add();
+            vmm_.counters().faultNs.record(cpu.now() - faultBegin);
             return true;
         }
         makeWritable(cpu, *vma, va, walk.pageShift);
-        vmm_.counters().wpFaults.addAt(cpu.coreId());
-        vmm_.counters().faultNs.recordAt(cpu.coreId(),
-                                         cpu.now() - faultBegin);
+        vmm_.counters().wpFaults.add();
+        vmm_.counters().faultNs.record(cpu.now() - faultBegin);
         return true;
     }
 
@@ -244,7 +241,7 @@ AddressSpace::populateRange(sim::Cpu &cpu, Vma &vma, std::uint64_t off,
             now.present ? (1ULL << now.pageShift) : mem::kPageSize;
         va = va / span * span + span;
     }
-    vmm_.counters().populates.addAt(cpu.coreId());
+    vmm_.counters().populates.add();
 }
 
 } // namespace dax::vm

@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "sys/system.h"
 #include "workloads/common.h"
 
@@ -278,7 +278,7 @@ OpenLoopServer::step(sim::Cpu &cpu)
     const Arrival arrival = queue_.schedule[queue_.next++];
     const sim::Time arrivedAt = queue_.base + arrival.at;
 
-    sim::SpanRecorder &rec = sim::Trace::get().spans();
+    sim::SpanRecorder &rec = sim::SpanRecorder::get();
     const bool traced = rec.enabled(sim::TraceCat::Openloop);
     const std::uint32_t track = sim::spanTrackOf(cpu);
     if (traced) {
@@ -318,7 +318,7 @@ OpenLoopServer::step(sim::Cpu &cpu)
     }
     if (arrival.newSession) {
         cpu.advance(system_.cm().tcpAccept);
-        stats_.connections.addAt(cpu.coreId());
+        stats_.connections.add();
     }
     service_.serve(cpu, arrival);
     if (traced) {
@@ -328,12 +328,12 @@ OpenLoopServer::step(sim::Cpu &cpu)
     const sim::Time doneAt = cpu.now();
     if (doneAt > queue_.lastDone)
         queue_.lastDone = doneAt;
-    stats_.requests.addAt(cpu.coreId());
-    stats_.latency.recordAt(cpu.coreId(), doneAt - arrivedAt);
-    stats_.queueDelay.recordAt(cpu.coreId(), startedAt - arrivedAt);
-    stats_.service.recordAt(cpu.coreId(), doneAt - startedAt);
+    stats_.requests.add();
+    stats_.latency.record(doneAt - arrivedAt);
+    stats_.queueDelay.record(startedAt - arrivedAt);
+    stats_.service.record(doneAt - startedAt);
     if (stats_.sloNs != 0 && doneAt - arrivedAt > stats_.sloNs)
-        stats_.sloViolations.addAt(cpu.coreId());
+        stats_.sloViolations.add();
     if (traced) {
         rec.recordRequestExemplar(tenant_, seq, arrivedAt, startedAt,
                                   doneAt, track, mark, kExemplarTopK);

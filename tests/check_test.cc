@@ -18,6 +18,7 @@
 #include "fs/file_system.h"
 #include "fs/inode.h"
 #include "latr/latr.h"
+#include "sim/fault.h"
 #include "sys/system.h"
 #include "vm/address_space.h"
 #include "workloads/apache.h"
@@ -360,6 +361,73 @@ TEST(Corruption, SwallowedMachineCheckTripsFsChecker)
     EXPECT_GE(oracle->runAll(), 1u);
     expectOnly(*oracle, "fs", "fs.mce.unaccounted");
     oracle->clearViolations();
+}
+
+class MceAccounting : public ::testing::TestWithParam<fs::MediaPolicy>
+{};
+
+// The handler's own journal commit fires the oracle's journal-commit
+// sweep while the machine check is still being handled: the delivery
+// must already be repaired or reported there, not only on return.
+TEST_P(MceAccounting, HandlerCommitSeesDeliveryAccounted)
+{
+    sys::SystemConfig sc = checkedConfig(); // level 2: every commit sweeps
+    sc.mediaPolicy = GetParam();
+    sys::System system(sc);
+    check::Oracle *oracle = system.oracle();
+    ASSERT_NE(oracle, nullptr);
+    oracle->setFailFast(false);
+
+    sim::Cpu cpu(nullptr, 0, 0);
+    const fs::Ino ino = system.makeFile("/f", 4096, 4096);
+    system.pmem().poisonLine(blockZeroAddr(system, ino));
+    std::uint8_t b = 0xff;
+    try {
+        system.fs().read(cpu, ino, 0, &b, 1);
+    } catch (const fs::IoError &) {
+        EXPECT_EQ(GetParam(), fs::MediaPolicy::FailFast);
+    }
+    EXPECT_EQ(system.pmem().mceRaised(), 1u);
+    EXPECT_EQ(system.fs().mceRepaired() + system.fs().mceFailed(), 1u);
+    EXPECT_TRUE(oracle->violations().empty()) << oracle->reportText();
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, MceAccounting,
+                         ::testing::Values(fs::MediaPolicy::FailFast,
+                                           fs::MediaPolicy::RemapZero,
+                                           fs::MediaPolicy::RemapRestore));
+
+// A crash inside the repair's commit undoes the repair: the delivery
+// counts once, as reported, and the post-recovery retry is a fresh one.
+TEST(MceAccounting, CrashInRepairCommitCountsOneReport)
+{
+    sys::System system(mediaConfig());
+    check::Oracle *oracle = system.oracle();
+    ASSERT_NE(oracle, nullptr);
+    oracle->setFailFast(false);
+
+    sim::Cpu cpu(nullptr, 0, 0);
+    const fs::Ino ino = system.makeFile("/f", 4096, 4096);
+    // Arm the plan first: installing one resets the device's media.
+    sim::FaultPlan plan =
+        sim::FaultPlan::atKind(sim::FaultEvent::JournalCommit, 0);
+    system.setFaultPlan(&plan);
+    system.pmem().poisonLine(blockZeroAddr(system, ino));
+    std::uint8_t b = 0xff;
+    EXPECT_THROW(system.fs().read(cpu, ino, 0, &b, 1),
+                 sim::CrashException);
+    EXPECT_EQ(system.fs().mceRepaired(), 0u);
+    EXPECT_EQ(system.fs().mceFailed(), 1u);
+
+    system.crash();
+    system.recover();
+    system.fs().read(cpu, ino, 0, &b, 1);
+    system.setFaultPlan(nullptr);
+    EXPECT_EQ(b, 0u); // remap-zero replacement
+    EXPECT_EQ(system.pmem().mceRaised(), 2u);
+    EXPECT_EQ(system.fs().mceRepaired(), 1u);
+    EXPECT_EQ(system.fs().mceFailed(), 1u);
+    EXPECT_TRUE(oracle->violations().empty()) << oracle->reportText();
 }
 
 // ---------------------------------------------------------------------

@@ -7,8 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "daxvm/api.h"
-#include "sim/trace.h"
 #include "daxvm/file_table.h"
+#include "sim/json.h"
+#include "sim/span_trace.h"
 #include "workloads/kvstore.h"
 #include "sys/system.h"
 
@@ -363,40 +364,36 @@ TEST(Fork, EphemeralMappingsNotInherited)
 
 TEST(TraceExtra, CapturesEnabledCategoriesOnly)
 {
-    auto &trace = sim::Trace::get();
-    trace.reset();
-    trace.setSink(nullptr); // capture mode
-    trace.enable(sim::TraceCat::Fault);
+    auto &rec = sim::SpanRecorder::get();
+    rec.reset();
+    rec.enable(sim::TraceCat::Fault);
 
     Fixture f;
     const fs::Ino ino = f.system.makeFile("/t", 4096);
     const std::uint64_t va = f.as->mmap(f.cpu, ino, 0, 4096, false, 0);
     f.as->memRead(f.cpu, va, 8, mem::Pattern::Rand); // one fault
 
-    const std::string out = trace.captured();
-    EXPECT_NE(out.find("fault: read"), std::string::npos);
-    // mmap category was off: no mmap lines.
-    EXPECT_EQ(out.find("mmap ino="), std::string::npos);
+    std::string error;
+    const sim::Json doc = sim::Json::parse(rec.chromeTraceString(), &error);
+    ASSERT_EQ(error, "");
+    unsigned readFaults = 0;
+    unsigned mmapEvents = 0;
+    for (const sim::Json &e : doc.find("traceEvents")->items()) {
+        const sim::Json *cat = e.find("cat");
+        if (cat == nullptr)
+            continue;
+        // mmap category was off: no mmap events of any phase.
+        if (cat->asString() == "mmap")
+            mmapEvents++;
+        if (cat->asString() != "fault" || e.find("ph")->asString() != "i")
+            continue;
+        EXPECT_EQ(e.find("name")->asString(), "fault");
+        const sim::Json *detail = e.find("args")->find("detail");
+        if (detail != nullptr && detail->asString().starts_with("read va="))
+            readFaults++;
+    }
+    EXPECT_EQ(readFaults, 1u);
+    EXPECT_EQ(mmapEvents, 0u);
 
-    trace.reset();
-}
-
-TEST(TraceExtra, SpecParsing)
-{
-    auto &trace = sim::Trace::get();
-    trace.reset();
-    trace.enableFromSpec("fault,daxvm");
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Fault));
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Daxvm));
-    EXPECT_FALSE(trace.enabled(sim::TraceCat::Mmap));
-    trace.reset();
-    trace.enableFromSpec("latr,lock");
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Latr));
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Lock));
-    EXPECT_FALSE(trace.enabled(sim::TraceCat::Fault));
-    trace.reset();
-    trace.enableFromSpec("all");
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Prezero));
-    EXPECT_TRUE(trace.enabled(sim::TraceCat::Lock));
-    trace.reset();
+    rec.reset();
 }

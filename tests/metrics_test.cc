@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the unified telemetry layer (sim/metrics.h): bucket
- * boundaries and percentiles of the log2 histogram, per-core shard
- * merging, collector-published gauges and snapshot/JSON round-trip.
+ * boundaries and percentiles of the log2 histogram, interning,
+ * collector-published gauges and snapshot/JSON round-trip.
  */
 #include <gtest/gtest.h>
 
@@ -149,31 +149,25 @@ TEST(HistogramTest, MergeAccumulates)
     EXPECT_EQ(a, before);
 }
 
-TEST(MetricsRegistryTest, CounterShardsMergeInValue)
-{
-    MetricsRegistry registry(4);
-    auto c = registry.counter("test.events");
-    c.addAt(0, 1);
-    c.addAt(1, 10);
-    c.addAt(3, 100);
-    c.add(); // shard 0
-    EXPECT_EQ(c.value(), 112u);
-    EXPECT_EQ(registry.counterValue("test.events"), 112u);
-    // Out-of-range shards (scratch Cpus use core -1) clamp to shard 0
-    // instead of writing out of bounds.
-    c.addAt(-1, 5);
-    c.addAt(99, 7);
-    EXPECT_EQ(c.value(), 124u);
-}
-
 TEST(MetricsRegistryTest, InterningReturnsSameStorage)
 {
-    MetricsRegistry registry(2);
+    MetricsRegistry registry;
     auto a = registry.counter("x.count");
     auto b = registry.counter("x.count");
     a.add(3);
     b.add(4);
     EXPECT_EQ(registry.counterValue("x.count"), 7u);
+    EXPECT_EQ(a.value(), 7u);
+    auto h1 = registry.histogram("x.lat_ns");
+    auto h2 = registry.histogram("x.lat_ns");
+    h1.record(100);
+    h2.record(800);
+    const HistogramData hist = h1.value();
+    EXPECT_EQ(hist.count, 2u);
+    EXPECT_EQ(hist.sum, 900u);
+    EXPECT_EQ(hist.min, 100u);
+    EXPECT_EQ(hist.max, 800u);
+    EXPECT_EQ(registry.histogramValue("x.lat_ns"), hist);
     // Same name under a different kind is a wiring bug: loud failure.
     EXPECT_THROW(registry.gauge("x.count"), std::logic_error);
     EXPECT_THROW(registry.histogram("x.count"), std::logic_error);
@@ -186,28 +180,11 @@ TEST(MetricsRegistryTest, UnboundHandlesAreSafe)
     sim::LatencyHistogram h;
     EXPECT_FALSE(c.bound());
     c.add(5);
-    c.addAt(3, 5);
     g.set(1.0);
     h.record(100);
     EXPECT_EQ(c.value(), 0u);
     EXPECT_EQ(g.value(), 0.0);
-    EXPECT_EQ(h.merged().count, 0u);
-}
-
-TEST(MetricsRegistryTest, HistogramShardsMerge)
-{
-    MetricsRegistry registry(4);
-    auto h = registry.histogram("test.lat_ns");
-    h.recordAt(0, 100);
-    h.recordAt(1, 200);
-    h.recordAt(2, 400);
-    h.recordAt(3, 800);
-    const HistogramData merged = h.merged();
-    EXPECT_EQ(merged.count, 4u);
-    EXPECT_EQ(merged.sum, 1500u);
-    EXPECT_EQ(merged.min, 100u);
-    EXPECT_EQ(merged.max, 800u);
-    EXPECT_EQ(registry.histogramValue("test.lat_ns"), merged);
+    EXPECT_EQ(h.value().count, 0u);
 }
 
 TEST(MetricsRegistryTest, CollectorsPublishGaugesAtSnapshot)
@@ -229,7 +206,7 @@ TEST(MetricsRegistryTest, CollectorsPublishGaugesAtSnapshot)
 
 TEST(MetricsRegistryTest, ResetClearsValuesKeepsRegistrations)
 {
-    MetricsRegistry registry(2);
+    MetricsRegistry registry;
     auto c = registry.counter("a.count");
     auto h = registry.histogram("a.lat");
     c.add(9);
@@ -264,13 +241,13 @@ TEST(MetricsSnapshotTest, MergeAddsAndCombines)
 
 TEST(MetricsSnapshotTest, JsonRoundTrip)
 {
-    MetricsRegistry registry(2);
+    MetricsRegistry registry;
     registry.counter("fs.creates").add(3);
-    registry.counter("vm.faults").addAt(1, 1ULL << 60); // > 2^53
+    registry.counter("vm.faults").add(1ULL << 60); // > 2^53
     registry.gauge("mem.bw").set(123.25);
     auto h = registry.histogram("vm.fault_ns");
-    h.recordAt(0, 150);
-    h.recordAt(1, 9000);
+    h.record(150);
+    h.record(9000);
     const MetricsSnapshot snap = registry.snapshot();
 
     const std::string text = snap.toJson().dump(2);

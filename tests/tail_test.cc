@@ -16,7 +16,7 @@
 
 #include "sim/json.h"
 #include "sim/metrics.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "sys/system.h"
 #include "tools/tail_analysis.h"
 #include "workloads/tenant.h"
@@ -98,9 +98,9 @@ testConfig()
 std::string
 runTracedMix(std::size_t capacity = 1 << 16)
 {
-    sim::Trace::get().reset();
-    sim::Trace::get().spans().enableAll();
-    sim::Trace::get().spans().setCapacity(capacity);
+    sim::SpanRecorder::get().reset();
+    sim::SpanRecorder::get().enableAll();
+    sim::SpanRecorder::get().setCapacity(capacity);
 
     sys::System system(testConfig());
 
@@ -177,15 +177,15 @@ runTracedMix(std::size_t capacity = 1 << 16)
         }
     }
     system.engine().run();
-    return sim::Trace::get().spans().chromeTraceString();
+    return sim::SpanRecorder::get().chromeTraceString();
 }
 
 /** Sandbox the global tracer: every test starts and ends pristine. */
 class TailTest : public ::testing::Test
 {
   protected:
-    void SetUp() override { sim::Trace::get().reset(); }
-    void TearDown() override { sim::Trace::get().reset(); }
+    void SetUp() override { sim::SpanRecorder::get().reset(); }
+    void TearDown() override { sim::SpanRecorder::get().reset(); }
 };
 
 } // namespace
@@ -312,7 +312,7 @@ TEST_F(TailTest, ExemplarReservoirSurvivesRingOverflow)
     // so the ring laps; the reservoir must still hold deterministic,
     // latency-ordered top-K span trees per tenant.
     runTracedMix(/*capacity=*/96);
-    const sim::SpanRecorder &rec = sim::Trace::get().spans();
+    const sim::SpanRecorder &rec = sim::SpanRecorder::get();
     EXPECT_GT(rec.droppedCount(), 0u);
 
     const std::vector<sim::SpanExemplar> first = rec.exemplars();
@@ -337,7 +337,7 @@ TEST_F(TailTest, ExemplarReservoirSurvivesRingOverflow)
     // Identical rerun -> identical reservoir, overflow and all.
     runTracedMix(/*capacity=*/96);
     const std::vector<sim::SpanExemplar> second =
-        sim::Trace::get().spans().exemplars();
+        sim::SpanRecorder::get().exemplars();
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); i++) {
         EXPECT_EQ(first[i].group, second[i].group);

@@ -10,7 +10,7 @@
 
 #include "sim/fault.h"
 #include "sim/json.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "sys/system.h"
 
 using namespace dax;
@@ -35,18 +35,18 @@ class TraceTest : public ::testing::Test
     void
     SetUp() override
     {
-        sim::Trace::get().reset();
-        sim::Trace::get().spans().enableAll();
+        sim::SpanRecorder::get().reset();
+        sim::SpanRecorder::get().enableAll();
     }
 
-    void TearDown() override { sim::Trace::get().reset(); }
+    void TearDown() override { sim::SpanRecorder::get().reset(); }
 
     /** Export the recorder's Chrome trace and analyze it. */
     static sim::TraceReport
     analyze()
     {
         const std::string text =
-            sim::Trace::get().spans().chromeTraceString();
+            sim::SpanRecorder::get().chromeTraceString();
         std::string error;
         const sim::Json doc = sim::Json::parse(text, &error);
         EXPECT_EQ(error, "");
@@ -155,17 +155,17 @@ TEST_F(TraceTest, BalancedUnderCrashInjection)
 
 TEST_F(TraceTest, TracingOffDoesNotChangeTheRun)
 {
-    sim::Trace::get().reset(); // tracing off
+    sim::SpanRecorder::get().reset(); // tracing off
     sys::System off(traceConfig());
     const sim::Time offMakespan = runWorkload(off, 4);
     const sim::MetricsSnapshot offSnap = off.snapshotMetrics();
 
-    sim::Trace::get().spans().enableAll();
+    sim::SpanRecorder::get().enableAll();
     sys::System on(traceConfig());
     const sim::Time onMakespan = runWorkload(on, 4);
     const sim::MetricsSnapshot onSnap = on.snapshotMetrics();
 
-    EXPECT_GT(sim::Trace::get().spans().eventCount(), 0u);
+    EXPECT_GT(sim::SpanRecorder::get().eventCount(), 0u);
     // Recording advances no virtual time and touches no instrument:
     // the traced run is indistinguishable from the untraced one.
     EXPECT_EQ(offMakespan, onMakespan);
@@ -240,18 +240,55 @@ TEST_F(TraceTest, LockWaitsReconcileWithLockStats)
     EXPECT_EQ(traced, expected);
 }
 
+TEST_F(TraceTest, TraceSiteRecordsOnlyWhenItsCategoryIsOn)
+{
+    sim::SpanRecorder &rec = sim::SpanRecorder::get();
+    rec.disableAll();
+    rec.enable(sim::TraceCat::Fs);
+    sim::Cpu cpu(nullptr, 0, 0);
+    int evaluated = 0;
+    const auto va = [&evaluated] {
+        evaluated++;
+        return 0x1000;
+    };
+
+    // Off: one branch - the arguments are not even evaluated.
+    DAX_TRACE(sim::TraceCat::Fault, cpu, "read va=0x%x", va());
+    EXPECT_EQ(evaluated, 0);
+    EXPECT_EQ(rec.eventCount(), 0u);
+
+    rec.enable(sim::TraceCat::Fault);
+    DAX_TRACE(sim::TraceCat::Fault, cpu, "read va=0x%x", va());
+    EXPECT_EQ(evaluated, 1);
+    ASSERT_EQ(rec.eventCount(), 1u);
+
+    std::string error;
+    const sim::Json doc = sim::Json::parse(rec.chromeTraceString(), &error);
+    ASSERT_EQ(error, "");
+    unsigned instants = 0;
+    for (const sim::Json &e : doc.find("traceEvents")->items()) {
+        if (e.find("ph")->asString() != "i")
+            continue;
+        instants++;
+        EXPECT_EQ(e.find("cat")->asString(), "fault");
+        EXPECT_EQ(e.find("name")->asString(), "fault");
+        EXPECT_EQ(e.find("args")->find("detail")->asString(),
+                  "read va=0x1000");
+    }
+    EXPECT_EQ(instants, 1u);
+}
+
 TEST_F(TraceTest, ResetRestoresPristineState)
 {
     sys::System system(traceConfig(1));
     runWorkload(system, 1);
-    EXPECT_GT(sim::Trace::get().spans().eventCount(), 0u);
+    EXPECT_GT(sim::SpanRecorder::get().eventCount(), 0u);
 
-    sim::Trace::get().reset();
-    EXPECT_EQ(sim::Trace::get().spans().eventCount(), 0u);
-    EXPECT_EQ(sim::Trace::get().spans().droppedCount(), 0u);
-    EXPECT_FALSE(sim::Trace::get().spans().enabled(
+    sim::SpanRecorder::get().reset();
+    EXPECT_EQ(sim::SpanRecorder::get().eventCount(), 0u);
+    EXPECT_EQ(sim::SpanRecorder::get().droppedCount(), 0u);
+    EXPECT_FALSE(sim::SpanRecorder::get().enabled(
         sim::TraceCat::Fault));
-    EXPECT_FALSE(sim::Trace::get().enabled(sim::TraceCat::Fault));
 }
 
 TEST_F(TraceTest, ExportersProduceWellFormedOutput)
@@ -261,12 +298,12 @@ TEST_F(TraceTest, ExportersProduceWellFormedOutput)
 
     std::string error;
     const std::string chrome =
-        sim::Trace::get().spans().chromeTraceString();
+        sim::SpanRecorder::get().chromeTraceString();
     sim::Json::parse(chrome, &error);
     EXPECT_EQ(error, "");
 
     const std::string folded =
-        sim::Trace::get().spans().foldedStacksString();
+        sim::SpanRecorder::get().foldedStacksString();
     EXPECT_NE(folded.find("fault"), std::string::npos);
     // Nesting is preserved in the folded stacks.
     EXPECT_NE(folded.find("fault;pt_walk"), std::string::npos);
@@ -274,10 +311,10 @@ TEST_F(TraceTest, ExportersProduceWellFormedOutput)
 
 TEST_F(TraceTest, RingOverflowStaysBalanced)
 {
-    sim::Trace::get().spans().setCapacity(64);
+    sim::SpanRecorder::get().setCapacity(64);
     sys::System system(traceConfig(1));
     runWorkload(system, 1);
-    ASSERT_GT(sim::Trace::get().spans().droppedCount(), 0u);
+    ASSERT_GT(sim::SpanRecorder::get().droppedCount(), 0u);
 
     // The exporter repairs wrap damage: the stream stays balanced and
     // the drop count is surfaced as metadata.

@@ -37,7 +37,7 @@
 #include "check/check.h"
 #include "sim/fault.h"
 #include "sim/rng.h"
-#include "sim/trace.h"
+#include "sim/span_trace.h"
 #include "sys/system.h"
 #include "workloads/filesweep.h"
 #include "workloads/repetitive.h"
@@ -499,7 +499,7 @@ main(int argc, char **argv)
     }
 
     if (!tracePath.empty())
-        sim::Trace::get().spans().enableAll();
+        sim::SpanRecorder::get().enableAll();
 
     // Access interface rotates with the policy index so every policy
     // is eventually soaked through syscalls, POSIX mmap and DaxVM.
@@ -560,7 +560,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot write %s\n", tracePath.c_str());
             return 1;
         }
-        sim::Trace::get().spans().writeChromeTrace(f);
+        sim::SpanRecorder::get().writeChromeTrace(f);
         std::fclose(f);
     }
 

@@ -313,7 +313,7 @@ main(int argc, char **argv)
     bench::result().tracePath = opt.tracePath;
     bench::result().foldedPath = opt.foldedPath;
     if (!opt.tracePath.empty() || !opt.foldedPath.empty())
-        sim::Trace::get().spans().enableAll();
+        sim::SpanRecorder::get().enableAll();
 
     sys::SystemConfig config;
     config.cores = std::max(opt.threads, 1u);
