@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "bench/common.h"
+#include "bench/linear_first_fit.h"
 #include "daxvm/api.h"
 #include "sim/rng.h"
 #include "sys/system.h"
@@ -238,14 +239,13 @@ constexpr std::uint64_t kAgedBlocks = 1ULL << 17;
  * Steady-state alloc/free churn on an aged image: fill to ~85% with
  * small variable allocations, churn free/alloc pairs until free space
  * is shredded into thousands of extents, then measure one free + one
- * goal-directed alloc per iteration. First fit pays an O(free-extents)
- * scan per alloc here, so this is the linear reference a faster
- * first fit with the same placement is measured against.
+ * goal-directed alloc per iteration. Both allocators make the same
+ * placement, so both report the same aged "free_extents" counter.
  */
+template <class Allocator>
 void
-BM_BlockAllocAgedRef(benchmark::State &state)
+agedAllocLoop(benchmark::State &state, Allocator alloc)
 {
-    fs::BlockAllocator alloc(kAgedBlocks, 0);
     std::vector<std::vector<fs::Extent>> held;
     sim::Rng rng(1234);
 
@@ -271,6 +271,10 @@ BM_BlockAllocAgedRef(benchmark::State &state)
         allocOne();
     }
 
+    // Counted before the timed loop, whose length varies between runs.
+    state.counters["free_extents"] =
+        static_cast<double>(alloc.freeExtents());
+
     sim::Rng loop(999);
     for (auto _ : state) {
         const std::uint64_t idx = loop.below(held.size());
@@ -281,8 +285,21 @@ BM_BlockAllocAgedRef(benchmark::State &state)
         held[idx] = std::move(repl); // empty only on ENOSPC
         benchmark::DoNotOptimize(alloc.freeBlocks());
     }
-    state.counters["free_extents"] =
-        static_cast<double>(alloc.freeExtents());
+}
+
+/** The production allocator: first fit on the two-level extent map. */
+void
+BM_BlockAllocAged(benchmark::State &state)
+{
+    agedAllocLoop(state, fs::BlockAllocator(kAgedBlocks, 0));
+}
+BENCHMARK(BM_BlockAllocAged);
+
+/** The same loop on the linear sorted-vector reference. */
+void
+BM_BlockAllocAgedRef(benchmark::State &state)
+{
+    agedAllocLoop(state, bench::LinearFirstFit(kAgedBlocks));
 }
 BENCHMARK(BM_BlockAllocAgedRef);
 
@@ -437,6 +454,7 @@ writePerfJson(const std::string &path, const bench::FigureData &fig)
     pair("walk_loop", "BM_MmuTranslate", "BM_MmuTranslateNoCache", 1.5);
     pair("flush_loop", "BM_DeviceFlushLoop", "BM_DeviceFlushLoopRef",
          1.5);
+    pair("aged_alloc", "BM_BlockAllocAged", "BM_BlockAllocAgedRef", 1.5);
     root["speedups"] = std::move(speedups);
 
     // One BM_EngineRun16Threads iteration is 16 threads x 1000 quanta.

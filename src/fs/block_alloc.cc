@@ -4,7 +4,9 @@
  */
 #include "fs/block_alloc.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 
 namespace dax::fs {
@@ -21,33 +23,28 @@ BlockAllocator::BlockAllocator(std::uint64_t nBlocks, std::uint64_t baseAddr)
 void
 BlockAllocator::insertFree(ExtentMap &map, const Extent &extent)
 {
-    auto [it, inserted] = map.emplace(extent.block, extent.count);
-    if (!inserted)
-        throw std::logic_error("double free of block extent");
     // The map is disjoint, so a block already in it lies in one of the
-    // two neighbours: undo the insert and refuse the extent.
-    auto next = std::next(it);
-    const bool overlapsNext =
-        next != map.end() && extent.endBlock() > next->first;
-    const bool overlapsPrev = it != map.begin()
-        && std::prev(it)->first + std::prev(it)->second > extent.block;
-    if (overlapsNext || overlapsPrev) {
-        map.erase(it);
+    // two neighbours: refuse the extent before touching the map.
+    const auto prev = map.floor(extent.block);
+    const auto next = map.next(extent.block, /*inclusive=*/false);
+    if (prev && prev->first + prev->second > extent.block)
         throw std::logic_error("double free of block extent");
-    }
+    if (next && extent.endBlock() > next->first)
+        throw std::logic_error("double free of block extent");
 
-    // Coalesce with successor.
-    if (next != map.end() && it->first + it->second == next->first) {
-        it->second += next->second;
-        map.erase(next);
-    }
-    // Coalesce with predecessor.
-    if (it != map.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second == it->first) {
-            prev->second += it->second;
-            map.erase(it);
-        }
+    const bool joinsPrev = prev && prev->first + prev->second == extent.block;
+    const bool joinsNext = next && extent.endBlock() == next->first;
+    if (joinsPrev && joinsNext) {
+        map.erase(next->first);
+        map.replace(prev->first, prev->first,
+                    prev->second + extent.count + next->second);
+    } else if (joinsPrev) {
+        map.replace(prev->first, prev->first, prev->second + extent.count);
+    } else if (joinsNext) {
+        // Nothing starts between the extent and its successor.
+        map.replace(next->first, extent.block, extent.count + next->second);
+    } else {
+        map.emplace(extent.block, extent.count);
     }
 }
 
@@ -60,76 +57,56 @@ BlockAllocator::carve(ExtentMap &map, std::uint64_t count,
     if (count == 0 || pool < count)
         return out;
 
-    std::uint64_t remaining = count;
+    // Hand out [at, at + n) of @p run, keeping its head and tail free.
+    auto take = [&](const ExtentMap::value_type &run, std::uint64_t at,
+                    std::uint64_t n) {
+        const std::uint64_t runEnd = run.first + run.second;
+        const std::uint64_t tail = runEnd - at - n;
+        if (at > run.first) {
+            map.replace(run.first, run.first, at - run.first);
+            if (tail > 0)
+                map.emplace(at + n, tail);
+        } else if (tail > 0) {
+            map.replace(run.first, at + n, tail);
+        } else {
+            map.erase(run.first);
+        }
+        out.push_back({at, n});
+        pool -= n;
+    };
 
     // Pass 0 (large files on a healthy image): carve a 2 MB-aligned
     // run so the mapping layer can use huge pages (ext4 alignment
     // heuristics for DAX).
     if (hugeAligned) {
-        for (auto it = map.begin(); it != map.end(); ++it) {
-            const std::uint64_t start = it->first;
-            const std::uint64_t len = it->second;
-            const std::uint64_t aligned =
-                (start + kBlocksPerHuge - 1) / kBlocksPerHuge
-                * kBlocksPerHuge;
-            if (aligned + remaining > start + len)
-                continue;
-            const std::uint64_t head = aligned - start;
-            const std::uint64_t tail = start + len - aligned - remaining;
-            map.erase(it);
-            if (head > 0)
-                map.emplace(start, head);
-            if (tail > 0)
-                map.emplace(aligned + remaining, tail);
-            out.push_back({aligned, remaining});
-            pool -= remaining;
+        if (const auto run = map.firstAligned(count)) {
+            take(*run, hugeAlignUp(run->first), count);
             return out;
         }
     }
 
     // Pass 1: a single extent fully satisfying the request, preferring
     // the first fit at or after the goal (ext4's goal-directed search).
-    auto tryWhole = [&](auto begin, auto end) -> bool {
-        for (auto it = begin; it != end; ++it) {
-            if (it->second >= remaining) {
-                out.push_back({it->first, remaining});
-                const std::uint64_t start = it->first;
-                const std::uint64_t len = it->second;
-                map.erase(it);
-                if (len > remaining)
-                    map.emplace(start + remaining, len - remaining);
-                pool -= remaining;
-                remaining = 0;
-                return true;
-            }
-        }
-        return false;
-    };
-    if (tryWhole(map.lower_bound(goal), map.end())
-        || tryWhole(map.begin(), map.lower_bound(goal))) {
+    auto whole = map.firstFit(goal, UINT64_MAX, count);
+    if (!whole)
+        whole = map.firstFit(0, goal, count);
+    if (whole) {
+        take(*whole, whole->first, count);
         return out;
     }
 
-    // Pass 2: gather fragments largest-area-first in address order
-    // starting at the goal, wrapping around.
-    auto takeFrom = [&](auto it) {
-        const std::uint64_t start = it->first;
-        const std::uint64_t len = it->second;
-        const std::uint64_t take = len < remaining ? len : remaining;
-        out.push_back({start, take});
-        map.erase(it);
-        if (len > take)
-            map.emplace(start + take, len - take);
-        pool -= take;
-        remaining -= take;
-    };
+    // Pass 2: gather fragments in address order starting at the goal,
+    // wrapping around.
+    std::uint64_t remaining = count;
     while (remaining > 0) {
-        auto it = map.lower_bound(goal);
-        if (it == map.end())
-            it = map.begin();
-        if (it == map.end())
+        auto run = map.next(goal, /*inclusive=*/true);
+        if (!run)
+            run = map.next(0, /*inclusive=*/true);
+        if (!run)
             break; // exhausted
-        takeFrom(it);
+        const std::uint64_t n = std::min(run->second, remaining);
+        take(*run, run->first, n);
+        remaining -= n;
     }
 
     if (remaining > 0) {
@@ -245,36 +222,22 @@ BlockAllocator::removeRange(ExtentMap &map, std::uint64_t start,
     const std::uint64_t end = start + count;
     std::uint64_t removed = 0;
 
-    // Index-based: ExtentMap mutation invalidates vector iterators, so
-    // the cursor is re-derived from the index each pass.
-    std::size_t i =
-        static_cast<std::size_t>(map.upper_bound(start) - map.begin());
-    if (i > 0)
-        --i;
-    while (i < map.size()) {
-        auto it = map.begin() + static_cast<std::ptrdiff_t>(i);
-        const std::uint64_t runStart = it->first;
-        if (runStart >= end)
-            break;
-        const std::uint64_t runEnd = runStart + it->second;
-        if (runEnd <= start) {
-            ++i;
-            continue;
-        }
-        const std::uint64_t cutStart = runStart > start ? runStart : start;
-        const std::uint64_t cutEnd = runEnd < end ? runEnd : end;
+    auto run = map.floor(start);
+    if (!run || run->first + run->second <= start)
+        run = map.next(start, /*inclusive=*/false);
+    while (run && run->first < end) {
+        const std::uint64_t runStart = run->first;
+        const std::uint64_t runEnd = runStart + run->second;
+        const std::uint64_t cutStart = std::max(runStart, start);
+        const std::uint64_t cutEnd = std::min(runEnd, end);
         removed += cutEnd - cutStart;
-        map.erase(it);
-        // Surviving head/tail pieces re-insert in front of the cursor;
-        // step past them so the scan resumes at the next original run.
-        if (runStart < cutStart) {
+        map.erase(runStart);
+        if (runStart < cutStart)
             map.emplace(runStart, cutStart - runStart);
-            ++i;
-        }
-        if (cutEnd < runEnd) {
+        if (cutEnd < runEnd)
             map.emplace(cutEnd, runEnd - cutEnd);
-            ++i;
-        }
+        // A surviving head keeps runStart; a tail starts at end.
+        run = map.next(runStart, /*inclusive=*/false);
     }
     return removed;
 }
@@ -328,11 +291,8 @@ BlockAllocator::promoteZeroed(const Extent &extent)
         return false;
     // Require full coverage by a single free run (the free map is
     // coalesced, so a fully-free range is always one run).
-    auto it = freeMap_.upper_bound(extent.block);
-    if (it == freeMap_.begin())
-        return false;
-    --it;
-    if (it->first + it->second < extent.endBlock())
+    const auto run = freeMap_.floor(extent.block);
+    if (!run || run->first + run->second < extent.endBlock())
         return false;
     removeRange(freeMap_, extent.block, extent.count);
     freeBlocks_ -= extent.count;
@@ -389,15 +349,13 @@ BlockAllocator::check() const
     auto overlapsMap = [&](const char *name, const ExtentMap &map,
                            const ExtentMap &other, const char *otherName) {
         for (const auto &[start, len] : map) {
-            auto it = other.upper_bound(start);
-            if (it != other.begin()) {
-                auto prev = std::prev(it);
-                if (prev->first + prev->second > start)
-                    problems.push_back(std::string(name) + " run at "
-                                       + std::to_string(start)
-                                       + " overlaps " + otherName);
-            }
-            if (it != other.end() && it->first < start + len)
+            const auto prev = other.floor(start);
+            if (prev && prev->first + prev->second > start)
+                problems.push_back(std::string(name) + " run at "
+                                   + std::to_string(start) + " overlaps "
+                                   + otherName);
+            const auto next = other.next(start, /*inclusive=*/false);
+            if (next && next->first < start + len)
                 problems.push_back(std::string(name) + " run at "
                                    + std::to_string(start) + " overlaps "
                                    + otherName);
@@ -417,13 +375,7 @@ BlockAllocator::check() const
 std::uint64_t
 BlockAllocator::largestFreeExtent() const
 {
-    std::uint64_t best = 0;
-    for (const auto &[start, len] : freeMap_) {
-        (void)start;
-        if (len > best)
-            best = len;
-    }
-    return best;
+    return freeMap_.maxLen();
 }
 
 double
@@ -433,8 +385,7 @@ BlockAllocator::hugeAlignedFreeFraction() const
         return 0.0;
     std::uint64_t hugeBlocks = 0;
     for (const auto &[start, len] : freeMap_) {
-        const std::uint64_t alignedStart =
-            (start + kBlocksPerHuge - 1) / kBlocksPerHuge * kBlocksPerHuge;
+        const std::uint64_t alignedStart = hugeAlignUp(start);
         const std::uint64_t end = start + len;
         if (alignedStart >= end)
             continue;

@@ -16,6 +16,13 @@ inline constexpr std::uint64_t kBlockSize = mem::kPageSize;
 inline constexpr std::uint64_t kBlocksPerHuge =
     mem::kHugePageSize / kBlockSize;
 
+/** First 2 MB-aligned block at or after @p block. */
+constexpr std::uint64_t
+hugeAlignUp(std::uint64_t block)
+{
+    return (block + kBlocksPerHuge - 1) / kBlocksPerHuge * kBlocksPerHuge;
+}
+
 /** A run of physically contiguous blocks. */
 struct Extent
 {

@@ -216,10 +216,16 @@ AddressSpace::munmap(sim::Cpu &cpu, std::uint64_t va, std::uint64_t len)
     const std::uint64_t end = va + len;
 
     sim::ScopedWriteLock guard(mmapSem_, cpu);
-    // Collect overlapping VMAs.
+    // Collect overlapping VMAs: seek to the last one starting at or
+    // before va (the only one that can reach into the range from
+    // below), then walk forward until a start passes the range end.
+    // Collected first because the split path below inserts VMAs.
     std::vector<std::uint64_t> starts;
-    for (auto it = vmas_.begin(); it != vmas_.end(); ++it) {
-        if (it->second.start < end && it->second.end > va)
+    auto it = vmas_.upper_bound(va);
+    if (it != vmas_.begin())
+        --it;
+    for (; it != vmas_.end() && it->second.start < end; ++it) {
+        if (it->second.end > va)
             starts.push_back(it->first);
     }
     if (starts.empty())
