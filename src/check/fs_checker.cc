@@ -85,9 +85,9 @@ class FsChecker final : public Checker
         fs::FileSystem &fs = oracle.system().fs();
 
         std::vector<Claim> claims;
-        for (const auto &[ino, node] : fs.inodeMap()) {
-            checkInode(oracle, ino, *node, claims);
-        }
+        fs.forEachInode([&](const fs::Inode &node) {
+            checkInode(oracle, node, claims);
+        });
         // Free and zeroed pools also count as owners: an extent still
         // referenced by an inode must not be handed out again.
         for (const auto &[start, len] : fs.allocator().freeMap()) {
@@ -116,10 +116,10 @@ class FsChecker final : public Checker
 
   private:
     void
-    checkInode(Oracle &oracle, fs::Ino ino, const fs::Inode &node,
+    checkInode(Oracle &oracle, const fs::Inode &node,
                std::vector<Claim> &claims)
     {
-        const std::string owner = "ino " + std::to_string(ino);
+        const std::string owner = "ino " + std::to_string(node.ino);
         std::uint64_t prevEnd = 0;
         std::uint64_t total = 0;
         bool first = true;

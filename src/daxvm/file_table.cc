@@ -4,6 +4,8 @@
  */
 #include "daxvm/file_table.h"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "arch/pte.h"
@@ -18,6 +20,20 @@ constexpr std::uint64_t kChunksPerGig =
 /** Max-permission file-table leaf flags (paper: perms pre-set). */
 constexpr arch::Pte kLeafFlags =
     arch::pte::kPresent | arch::pte::kWrite | arch::pte::kUser;
+
+/**
+ * True when any entry of @p node is present. Reads the whole node,
+ * where a per-entry scan would stop at the first present entry; the
+ * extra lines cannot raise a machine check, because table frames lie
+ * outside the media fault range (System::setFaultPlan).
+ */
+bool
+anyPresent(const arch::Node &node)
+{
+    std::array<arch::Pte, arch::kEntriesPerNode> entries{};
+    node.dev->fetch(node.frame, entries.data(), sizeof(entries));
+    return std::any_of(entries.begin(), entries.end(), arch::pte::present);
+}
 
 } // namespace
 
@@ -177,15 +193,9 @@ FileTable::clearRange(sim::Cpu *cpu, std::uint64_t fileBlock,
                         static_cast<unsigned>(inChunk + i), 0);
                 }
                 chargePersist(cpu, n);
-                // Release the PTE page once its last entry clears.
-                bool empty = true;
-                for (unsigned i = 0; i < arch::kEntriesPerNode; i++) {
-                    if (arch::pte::present(state.pte->entry(i))) {
-                        empty = false;
-                        break;
-                    }
-                }
-                if (empty) {
+                // Release the PTE page once its last entry clears:
+                // one fetch of the whole node, scanned in memory.
+                if (!anyPresent(*state.pte)) {
                     freeNode(state.pte);
                     chunks_.erase(it);
                 }

@@ -64,7 +64,7 @@ ageFileSystem(FileSystem &fs, const AgingConfig &config)
     const auto utilTarget = static_cast<std::uint64_t>(
         config.targetUtilization * static_cast<double>(capacityBytes));
 
-    std::vector<std::string> live;
+    std::vector<Ino> live;
     std::uint64_t liveBytes = 0;
     std::uint64_t serial = 0;
 
@@ -87,14 +87,13 @@ ageFileSystem(FileSystem &fs, const AgingConfig &config)
                    < rounded + (8ULL << 20)) {
             return false;
         }
-        std::ostringstream name;
-        name << config.prefix << serial++;
-        const Ino ino = fs.create(scratch, name.str());
+        const Ino ino =
+            fs.create(scratch, config.prefix + std::to_string(serial++));
         if (!fs.fallocateSetup(ino, size)) {
-            fs.unlink(scratch, name.str());
+            fs.unlink(scratch, ino);
             return false;
         }
-        live.push_back(name.str());
+        live.push_back(ino);
         liveBytes += fs.inode(ino).allocatedBlocks() * kBlockSize;
         report.filesCreated++;
         report.bytesWritten += size;
@@ -105,10 +104,9 @@ ageFileSystem(FileSystem &fs, const AgingConfig &config)
         if (live.empty())
             return;
         const std::uint64_t idx = rng.below(live.size());
-        const std::string path = live[idx];
-        const Ino ino = *fs.lookupPath(path);
+        const Ino ino = live[idx];
         liveBytes -= fs.inode(ino).allocatedBlocks() * kBlockSize;
-        fs.unlink(scratch, path);
+        fs.unlink(scratch, ino);
         live[idx] = live.back();
         live.pop_back();
         report.filesDeleted++;

@@ -29,10 +29,8 @@ FileSystem::FileSystem(Personality personality, mem::Device &pmem,
         throw std::invalid_argument("fs region not block aligned");
     // Commit snapshots capture the live inode through this resolver
     // (keeps Journal independent of the inode table's representation).
-    journal_.setResolver([this](Ino ino) -> const Inode * {
-        auto it = inodes_.find(ino);
-        return it == inodes_.end() ? nullptr : it->second.get();
-    });
+    journal_.setResolver(
+        [this](Ino ino) -> const Inode * { return find(ino); });
 
     sim::MetricsScope scope(*metrics_, "fs");
     counters_.creates = scope.counter("creates");
@@ -80,15 +78,17 @@ FileSystem::FileSystem(Personality personality, mem::Device &pmem,
 Ino
 FileSystem::create(sim::Cpu &cpu, const std::string &path)
 {
-    if (names_.count(path) != 0)
+    const Ino ino = nextIno_;
+    if (!names_.emplace(path, ino).second)
         throw std::invalid_argument("create: path exists: " + path);
+    nextIno_++;
     cpu.advance(cm_.openBase);
-    const Ino ino = nextIno_++;
     auto node = std::make_unique<Inode>();
     node->ino = ino;
     node->path = path;
-    inodes_.emplace(ino, std::move(node));
-    names_.emplace(path, ino);
+    if (inodes_.size() <= ino)
+        inodes_.resize(ino + 1);
+    inodes_[ino] = std::move(node);
     journal_.markDirty(ino);
     counters_.creates.add();
     return ino;
@@ -97,20 +97,25 @@ FileSystem::create(sim::Cpu &cpu, const std::string &path)
 bool
 FileSystem::unlink(sim::Cpu &cpu, const std::string &path)
 {
-    auto it = names_.find(path);
-    if (it == names_.end())
+    const auto ino = lookupPath(path);
+    return ino.has_value() && unlink(cpu, *ino);
+}
+
+bool
+FileSystem::unlink(sim::Cpu &cpu, Ino ino)
+{
+    Inode *node = find(ino);
+    if (node == nullptr)
         return false;
-    const Ino ino = it->second;
-    Inode &node = inode(ino);
     cpu.advance(cm_.openBase);
-    freeAll(cpu, node, 0);
+    freeAll(cpu, *node, 0);
     // Unlink commits synchronously: the durable image must stop
     // claiming the freed blocks before anyone else can commit them.
     journal_.commitErase(cpu, ino);
     for (auto *h : hooks_)
-        h->onInodeEvict(node);
-    names_.erase(it);
-    inodes_.erase(ino);
+        h->onInodeEvict(*node);
+    names_.erase(node->path);
+    inodes_[ino].reset();
     counters_.unlinks.add();
     return true;
 }
@@ -128,30 +133,31 @@ std::vector<std::string>
 FileSystem::list(const std::string &prefix) const
 {
     std::vector<std::string> out;
-    for (auto it = names_.lower_bound(prefix); it != names_.end(); ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        out.push_back(it->first);
+    for (const auto &[path, ino] : names_) {
+        (void)ino;
+        if (path.compare(0, prefix.size(), prefix) == 0)
+            out.push_back(path);
     }
+    std::sort(out.begin(), out.end());
     return out;
 }
 
 Inode &
 FileSystem::inode(Ino ino)
 {
-    auto it = inodes_.find(ino);
-    if (it == inodes_.end())
+    Inode *node = find(ino);
+    if (node == nullptr)
         throw std::invalid_argument("no such inode");
-    return *it->second;
+    return *node;
 }
 
 const Inode &
 FileSystem::inode(Ino ino) const
 {
-    auto it = inodes_.find(ino);
-    if (it == inodes_.end())
+    const Inode *node = find(ino);
+    if (node == nullptr)
         throw std::invalid_argument("no such inode");
-    return *it->second;
+    return *node;
 }
 
 void
@@ -509,9 +515,9 @@ FileSystem::recover()
 
     // Everything in memory is gone; per-inode private state (DaxVM
     // tables) is destroyed with the inodes.
-    for (auto &[ino, node] : inodes_) {
-        (void)ino;
-        notifyEvict(*node);
+    for (auto &node : inodes_) {
+        if (node != nullptr)
+            notifyEvict(*node);
     }
     names_.clear();
     inodes_.clear();
@@ -540,7 +546,9 @@ FileSystem::recover()
             allocated.push_back(e);
         }
         names_.emplace(rec.path, ino);
-        inodes_.emplace(ino, std::move(node));
+        if (inodes_.size() <= ino)
+            inodes_.resize(ino + 1);
+        inodes_[ino] = std::move(node);
         maxIno = std::max(maxIno, ino);
         report.inodesRestored++;
     }
@@ -563,33 +571,37 @@ FileSystem::fsck() const
 {
     std::vector<std::string> problems = alloc_.check();
 
-    // Namespace <-> inode table.
+    // Namespace <-> inode table, both directions. Names are hashed:
+    // sort their problems so the report does not depend on the hash.
+    const std::size_t firstNameProblem = problems.size();
     for (const auto &[path, ino] : names_) {
-        auto it = inodes_.find(ino);
-        if (it == inodes_.end())
+        const Inode *node = find(ino);
+        if (node == nullptr)
             problems.push_back("name '" + path + "' -> missing inode "
                                + std::to_string(ino));
-        else if (it->second->path != path)
+        else if (node->path != path)
             problems.push_back("name '" + path + "' -> inode "
-                               + std::to_string(ino)
-                               + " with path '" + it->second->path + "'");
+                               + std::to_string(ino) + " with path '"
+                               + node->path + "'");
     }
-    for (const auto &[ino, node] : inodes_) {
-        if (names_.count(node->path) == 0
-            || names_.at(node->path) != ino) {
-            problems.push_back("inode " + std::to_string(ino)
+    std::sort(problems.begin() + static_cast<long>(firstNameProblem),
+              problems.end());
+    forEachInode([&](const Inode &node) {
+        auto it = names_.find(node.path);
+        if (it == names_.end() || it->second != node.ino) {
+            problems.push_back("inode " + std::to_string(node.ino)
                                + " not reachable via its path");
         }
-    }
+    });
 
     // Per-inode extent trees + global double-claim detection.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> claims;
-    for (const auto &[ino, node] : inodes_) {
-        const std::string tag = "inode " + std::to_string(ino);
+    forEachInode([&](const Inode &node) {
+        const std::string tag = "inode " + std::to_string(node.ino);
         std::uint64_t counted = 0;
         std::uint64_t prevEnd = 0;
         bool first = true;
-        for (const auto &[fileBlock, e] : node->extents) {
+        for (const auto &[fileBlock, e] : node.extents) {
             if (e.count == 0)
                 problems.push_back(tag + ": empty extent");
             if (!first && fileBlock < prevEnd)
@@ -602,12 +614,12 @@ FileSystem::fsck() const
             prevEnd = fileBlock + e.count;
             first = false;
         }
-        if (counted != node->allocatedCount)
+        if (counted != node.allocatedCount)
             problems.push_back(tag + ": allocatedCount "
-                               + std::to_string(node->allocatedCount)
+                               + std::to_string(node.allocatedCount)
                                + " != extent sum "
                                + std::to_string(counted));
-    }
+    });
     // Media-retired blocks are claims too: an inode extent (or pool
     // entry, checked by alloc_.check()) overlapping the retired set
     // is corruption.
@@ -648,10 +660,13 @@ FileSystem::resolveBlock(std::uint64_t block) const
 {
     // Machine checks are rare: a linear reverse lookup is fine here
     // and keeps the write/alloc fast paths free of reverse-map upkeep.
-    for (const auto &[ino, node] : inodes_) {
+    for (const auto &node : inodes_) {
+        if (node == nullptr)
+            continue;
         for (const auto &[fileBlock, e] : node->extents) {
             if (block >= e.block && block < e.block + e.count)
-                return std::make_pair(ino, fileBlock + (block - e.block));
+                return std::make_pair(node->ino,
+                                      fileBlock + (block - e.block));
         }
     }
     return std::nullopt;
@@ -838,9 +853,10 @@ FileSystem::fsckRepair()
 {
     sim::Cpu scratch(nullptr, -1, 0);
     std::uint64_t punched = 0;
-    for (auto &[ino, node] : inodes_) {
-        if (node->badBlocks.empty())
+    for (auto &node : inodes_) {
+        if (node == nullptr || node->badBlocks.empty())
             continue;
+        const Ino ino = node->ino;
         while (!node->badBlocks.empty()) {
             const std::uint64_t fileBlock = node->badBlocks.begin()->first;
             const auto phys = punchBlock(*node, fileBlock);

@@ -19,10 +19,10 @@
 
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fs/block_alloc.h"
@@ -159,10 +159,13 @@ class FileSystem
     /** Remove a file, freeing its blocks. @return false if absent. */
     bool unlink(sim::Cpu &cpu, const std::string &path);
 
+    /** unlink() by inode number, skipping the name lookup. */
+    bool unlink(sim::Cpu &cpu, Ino ino);
+
     /** Path -> inode (functional, no timing). */
     std::optional<Ino> lookupPath(const std::string &path) const;
 
-    /** All paths with the given prefix (directory walk). */
+    /** All paths with the given prefix, sorted (directory walk). */
     std::vector<std::string> list(const std::string &prefix) const;
 
     // ------------------------------------------------------------------
@@ -276,12 +279,16 @@ class FileSystem
 
     Inode &inode(Ino ino);
     const Inode &inode(Ino ino) const;
-    bool exists(Ino ino) const { return inodes_.count(ino) != 0; }
+    bool exists(Ino ino) const { return find(ino) != nullptr; }
 
-    /** Live inode table, for invariant checkers. */
-    const std::map<Ino, std::unique_ptr<Inode>> &inodeMap() const
+    /** Visit every live inode in ascending Ino order (checkers). */
+    template <typename F>
+    void forEachInode(F &&fn) const
     {
-        return inodes_;
+        for (const auto &node : inodes_) {
+            if (node != nullptr)
+                fn(static_cast<const Inode &>(*node));
+        }
     }
 
     /** Physical byte address of @p block. */
@@ -318,6 +325,16 @@ class FileSystem
 
     void freeAll(sim::Cpu &cpu, Inode &node, std::uint64_t fromBlock);
 
+    /** Live inode @p ino, or nullptr (dead, never issued). */
+    const Inode *find(Ino ino) const
+    {
+        return ino < inodes_.size() ? inodes_[ino].get() : nullptr;
+    }
+    Inode *find(Ino ino)
+    {
+        return ino < inodes_.size() ? inodes_[ino].get() : nullptr;
+    }
+
     /** Owner of physical block @p block: (inode, file block). */
     std::optional<std::pair<Ino, std::uint64_t>>
     resolveBlock(std::uint64_t block) const;
@@ -346,8 +363,13 @@ class FileSystem
     sim::MetricsRegistry *metrics_;
     BlockAllocator alloc_;
     Journal journal_;
-    std::map<std::string, Ino> names_;
-    std::map<Ino, std::unique_ptr<Inode>> inodes_;
+    std::unordered_map<std::string, Ino> names_;
+    /**
+     * Inode table indexed by Ino; null marks a dead or never-issued
+     * slot. Inos are issued in sequence, so the table is dense and a
+     * walk over it visits live inodes in ascending order.
+     */
+    std::vector<std::unique_ptr<Inode>> inodes_;
     Ino nextIno_ = 1;
     std::vector<FsHooks *> hooks_;
     MediaPolicy mediaPolicy_ = MediaPolicy::FailFast;

@@ -5,6 +5,7 @@
  */
 #include "fs/journal.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/span_trace.h"
@@ -61,6 +62,59 @@ Journal::snapshot(Ino ino)
     rec.allocatedCount = node->allocatedCount;
 }
 
+void
+Journal::markDirty(Ino ino)
+{
+    if (dirtyState_.size() <= ino)
+        dirtyState_.resize(ino + 1, DirtyState::Absent);
+    DirtyState &state = dirtyState_[ino];
+    if (state == DirtyState::Dirty)
+        return;
+    if (state == DirtyState::Absent)
+        dirtyList_.push_back(ino);
+    state = DirtyState::Dirty;
+    dirtyCount_++;
+}
+
+void
+Journal::clearDirtyOne(Ino ino)
+{
+    if (!isDirty(ino))
+        return;
+    dirtyState_[ino] = DirtyState::Stale;
+    dirtyCount_--;
+    if (dirtyList_.size() - dirtyCount_ <= dirtyCount_)
+        return;
+    std::erase_if(dirtyList_, [this](Ino listed) {
+        if (dirtyState_[listed] == DirtyState::Dirty)
+            return false;
+        dirtyState_[listed] = DirtyState::Absent;
+        return true;
+    });
+}
+
+void
+Journal::clearDirtySet()
+{
+    for (const Ino ino : dirtyList_)
+        dirtyState_[ino] = DirtyState::Absent;
+    dirtyList_.clear();
+    dirtyCount_ = 0;
+}
+
+std::vector<Ino>
+Journal::dirtyBatch() const
+{
+    std::vector<Ino> batch;
+    batch.reserve(dirtyCount_);
+    for (const Ino ino : dirtyList_) {
+        if (dirtyState_[ino] == DirtyState::Dirty)
+            batch.push_back(ino);
+    }
+    std::sort(batch.begin(), batch.end());
+    return batch;
+}
+
 std::vector<Extent>
 Journal::retiredImage() const
 {
@@ -81,9 +135,9 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
         // only carries other inodes' metadata; committing ino alone
         // would ack durability for an image its own transaction does
         // not contain.
-        if (dirty_.empty())
+        if (dirtyCount_ == 0)
             return;
-        const std::vector<Ino> batch(dirty_.begin(), dirty_.end());
+        const std::vector<Ino> batch = dirtyBatch();
         const sim::Time begin = cpu.now();
         DAX_SPAN(sim::TraceCat::Fs, cpu, "journal_commit");
         sim::ScopedLock guard(lock_, cpu);
@@ -93,7 +147,7 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
             snapshot(b);
         if (batch.size() > 1)
             batchedInodes_ += batch.size();
-        dirty_.clear();
+        clearDirtySet();
     } else {
         // NOVA commits per inode: each log is independent.
         if (!isDirty(ino))
@@ -103,7 +157,7 @@ Journal::commit(sim::Cpu &cpu, Ino ino)
         chargeCommit(cpu);
         commitNs_.record(cpu.now() - begin);
         snapshot(ino);
-        dirty_.erase(ino);
+        clearDirtyOne(ino);
     }
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::JournalCommit, cpu.now());
@@ -123,7 +177,7 @@ Journal::commitErase(sim::Cpu &cpu, Ino ino)
     commitNs_.record(cpu.now() - begin);
     mergeRetired(ino);
     committed_.erase(ino);
-    dirty_.erase(ino);
+    clearDirtyOne(ino);
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::JournalCommit, cpu.now());
 }
@@ -131,9 +185,9 @@ Journal::commitErase(sim::Cpu &cpu, Ino ino)
 void
 Journal::commitAll(sim::Cpu &cpu)
 {
-    if (dirty_.empty())
+    if (dirtyCount_ == 0)
         return;
-    const std::vector<Ino> batch(dirty_.begin(), dirty_.end());
+    const std::vector<Ino> batch = dirtyBatch();
     if (personality_ == Personality::Ext4Dax) {
         // jbd2 group commit: the whole batch rides one transaction.
         const sim::Time begin = cpu.now();
@@ -153,7 +207,7 @@ Journal::commitAll(sim::Cpu &cpu)
             snapshot(ino);
         }
     }
-    dirty_.clear();
+    clearDirtySet();
     if (checkHook_ != nullptr)
         checkHook_->onCheck(sim::CheckEvent::JournalCommit, cpu.now());
 }

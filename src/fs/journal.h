@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "fs/inode.h"
@@ -82,9 +81,13 @@ class Journal
     }
 
     /** Record that @p ino has uncommitted metadata. */
-    void markDirty(Ino ino) { dirty_.insert(ino); }
+    void markDirty(Ino ino);
 
-    bool isDirty(Ino ino) const { return dirty_.count(ino) != 0; }
+    bool isDirty(Ino ino) const
+    {
+        return ino < dirtyState_.size()
+               && dirtyState_[ino] == DirtyState::Dirty;
+    }
 
     /**
      * Commit @p ino's metadata. ext4: serialized jbd2 transaction
@@ -118,7 +121,7 @@ class Journal
     /** Forget dirty state after a crash (nothing is dirty on mount). */
     void clearDirty()
     {
-        dirty_.clear();
+        clearDirtySet();
         pendingRetired_.clear();
     }
 
@@ -144,7 +147,7 @@ class Journal
     std::uint64_t commits() const { return commits_; }
     /** Inodes committed through group commits (batching stat). */
     std::uint64_t batchedInodes() const { return batchedInodes_; }
-    std::size_t dirtyCount() const { return dirty_.size(); }
+    std::size_t dirtyCount() const { return dirtyCount_; }
     const sim::Mutex &lock() const { return lock_; }
 
     /** Invariant-check observer fired after each commit. */
@@ -160,13 +163,29 @@ class Journal
     /** Make @p ino's pending retired records durable (see above). */
     void mergeRetired(Ino ino);
 
+    /** The dirty inodes in ascending order (the commit order). */
+    std::vector<Ino> dirtyBatch() const;
+    /** Clear @p ino's dirty flag, compacting the list when stale. */
+    void clearDirtyOne(Ino ino);
+    /** Clear every dirty flag and the list. */
+    void clearDirtySet();
+
     Personality personality_;
     const sim::CostModel &cm_;
     sim::Mutex lock_;
     Resolver resolver_;
     sim::FaultPlan *plan_ = nullptr;
     sim::CheckHook *checkHook_ = nullptr;
-    std::set<Ino> dirty_;
+    /**
+     * The dirty set: a state per Ino plus the list of Inos whose state
+     * is not Absent. Clearing one flag leaves a Stale entry in the
+     * list; the list is compacted once stale entries outnumber dirty
+     * ones, so it holds at most twice the dirty inodes.
+     */
+    enum class DirtyState : std::uint8_t { Absent, Stale, Dirty };
+    std::vector<DirtyState> dirtyState_;
+    std::vector<Ino> dirtyList_;
+    std::size_t dirtyCount_ = 0;
     std::map<Ino, InodeRecord> committed_;
     /** Retired extents awaiting their inode's commit (volatile). */
     std::map<Ino, std::vector<Extent>> pendingRetired_;

@@ -157,6 +157,48 @@ TEST(FileTables, TruncateClearsEntries)
     EXPECT_TRUE(arch::pte::present(pte->entry(0)));
 }
 
+TEST(FileTables, ClearingLastPresentEntryFreesPtePage)
+{
+    // The emptiness check after each cleared extent scans the whole
+    // PTE page: a present entry anywhere, index 511 included, keeps
+    // the page; clearing the last one frees it and drops the chunk.
+    sim::CostModel cm;
+    mem::Device dram(mem::Kind::Dram, 16ULL << 20, cm,
+                     mem::Backing::Sparse);
+    mem::FrameAllocator frames(dram, 0, 16ULL << 20);
+    for (const std::uint64_t other : {std::uint64_t{0}, std::uint64_t{100},
+                                      std::uint64_t{510}}) {
+        SCOPED_TRACE(other);
+        FileTable table(frames, /*persistent=*/false, cm);
+        table.populate(nullptr, 511, fs::Extent{7, 1}, 0);
+        ASSERT_NE(table.pteNode(0), nullptr);
+        ASSERT_EQ(table.nodeCount(), 1u);
+        ASSERT_EQ(frames.allocated(), 1u);
+
+        // Clearing absent entries keeps the page (511 is present).
+        table.clearRange(nullptr, 0, 511);
+        ASSERT_NE(table.pteNode(0), nullptr);
+
+        table.populate(nullptr, other, fs::Extent{20, 1}, 0);
+        table.clearRange(nullptr, 511, 1); // `other` still present
+        ASSERT_NE(table.pteNode(0), nullptr);
+        EXPECT_TRUE(arch::pte::present(table.pteNode(0)->entry(
+            static_cast<unsigned>(other))));
+        EXPECT_FALSE(arch::pte::present(table.pteNode(0)->entry(511)));
+
+        table.populate(nullptr, 511, fs::Extent{7, 1}, 0);
+        table.clearRange(nullptr, other, 1); // 511 is the only one left
+        ASSERT_NE(table.pteNode(0), nullptr);
+        table.clearRange(nullptr, 511, 1);
+        EXPECT_EQ(table.pteNode(0), nullptr);
+        EXPECT_EQ(table.hugeEntry(0), 0u);
+        EXPECT_EQ(table.nodeCount(), 0u);
+        EXPECT_EQ(frames.allocated(), 0u);
+        // No chunk left in the first 1 GB: no PMD node materializes.
+        EXPECT_EQ(table.pmdNode(0), nullptr);
+    }
+}
+
 TEST(FileTables, VolatileTablesDieOnEvictionPersistentSurvive)
 {
     Fixture f;

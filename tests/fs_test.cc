@@ -5,7 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "fs/aging.h"
@@ -13,6 +17,7 @@
 #include "fs/file_system.h"
 #include "fs/vfs.h"
 #include "mem/device.h"
+#include "sim/fault.h"
 #include "sim/rng.h"
 
 using namespace dax;
@@ -352,6 +357,284 @@ TEST(FileSystem, InodeFindResolvesRuns)
     ASSERT_TRUE(run.has_value());
     EXPECT_GE(run->count, 1u);
     EXPECT_FALSE(node.find(64).has_value());
+}
+
+TEST(FileSystem, UnlinkByInode)
+{
+    Fixture f;
+    const Ino a = f.fs.create(f.cpu, "/a");
+    ASSERT_TRUE(f.fs.fallocateSetup(a, 8 * kBlockSize));
+    const std::uint64_t freeBefore = f.fs.allocator().freeBlocks();
+    EXPECT_TRUE(f.fs.unlink(f.cpu, a));
+    EXPECT_FALSE(f.fs.exists(a));
+    EXPECT_FALSE(f.fs.lookupPath("/a").has_value());
+    EXPECT_EQ(f.fs.allocator().freeBlocks(), freeBefore + 8);
+    EXPECT_FALSE(f.fs.unlink(f.cpu, a));
+    EXPECT_FALSE(f.fs.unlink(f.cpu, Ino{12345}));
+    // The name is free again; the Ino is not reused.
+    EXPECT_GT(f.fs.create(f.cpu, "/a"), a);
+    EXPECT_TRUE(f.fs.fsck().empty());
+}
+
+namespace {
+
+/**
+ * One seeded run of create / unlink(path) / unlink(ino) / fsync /
+ * recover() against a std::map model of the namespace, checking every
+ * lookup path after each step.
+ */
+void
+runNamespaceModel(Personality personality, std::uint64_t seed)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << (personality == Personality::Ext4Dax ? "ext4"
+                                                         : "nova")
+                 << " seed " << seed);
+    Fixture f(personality, 64ULL << 20);
+    sim::Rng rng(seed);
+    std::map<std::string, Ino> live;
+    std::set<std::string> durable; // committed, survives recover()
+    std::vector<Ino> dead;
+    Ino next = 1;
+    std::uint64_t serial = 0;
+
+    auto pickLive = [&]() {
+        auto it = live.begin();
+        std::advance(it, static_cast<long>(rng.below(live.size())));
+        return *it;
+    };
+
+    for (int step = 0; step < 400; step++) {
+        const std::uint64_t op = rng.below(100);
+        if (op < 45 || live.empty()) {
+            // Two directories, names of varying length, so prefix
+            // listing has to filter and sort.
+            const std::string path = (rng.below(3) == 0 ? "/n/" : "/m/")
+                                   + std::to_string(serial++ * 7919 % 1000);
+            if (live.count(path) != 0) {
+                EXPECT_THROW(f.fs.create(f.cpu, path),
+                             std::invalid_argument);
+                continue;
+            }
+            const Ino ino = f.fs.create(f.cpu, path);
+            ASSERT_EQ(ino, next);
+            next++;
+            if (rng.below(2) == 0) {
+                ASSERT_TRUE(f.fs.fallocateSetup(
+                    ino, (1 + rng.below(4)) * kBlockSize));
+            }
+            live.emplace(path, ino);
+        } else if (op < 60) {
+            const auto [path, ino] = pickLive();
+            ASSERT_TRUE(f.fs.unlink(f.cpu, path));
+            live.erase(path);
+            durable.erase(path);
+            dead.push_back(ino);
+        } else if (op < 75) {
+            const auto [path, ino] = pickLive();
+            ASSERT_TRUE(f.fs.unlink(f.cpu, ino));
+            live.erase(path);
+            durable.erase(path);
+            dead.push_back(ino);
+        } else if (op < 95) {
+            const auto [path, ino] = pickLive();
+            f.fs.fsync(f.cpu, ino);
+            if (personality == Personality::Ext4Dax) {
+                // fsync forces the whole running transaction out.
+                for (const auto &[p, i] : live) {
+                    (void)i;
+                    durable.insert(p);
+                }
+            } else {
+                durable.insert(path);
+            }
+        } else {
+            const std::size_t dirty = f.fs.journal().dirtyCount();
+            const RecoveryReport report = f.fs.recover();
+            EXPECT_EQ(report.rolledBack, dirty);
+            EXPECT_EQ(report.rolledBack, live.size() - durable.size());
+            EXPECT_EQ(report.inodesRestored, durable.size());
+            for (auto it = live.begin(); it != live.end();) {
+                if (durable.count(it->first) == 0) {
+                    dead.push_back(it->second);
+                    it = live.erase(it);
+                } else {
+                    ++it;
+                }
+            }
+            EXPECT_EQ(f.fs.journal().dirtyCount(), 0u);
+        }
+
+        // Every live file resolves both ways; dirty == not durable.
+        for (const auto &[path, ino] : live) {
+            ASSERT_EQ(f.fs.lookupPath(path), std::optional<Ino>(ino));
+            ASSERT_TRUE(f.fs.exists(ino));
+            ASSERT_EQ(f.fs.inode(ino).path, path);
+            ASSERT_EQ(f.fs.journal().isDirty(ino),
+                      durable.count(path) == 0);
+        }
+        for (const Ino ino : dead) {
+            ASSERT_FALSE(f.fs.exists(ino));
+            ASSERT_THROW(f.fs.inode(ino), std::invalid_argument);
+            ASSERT_FALSE(f.fs.journal().isDirty(ino));
+        }
+        EXPECT_FALSE(f.fs.lookupPath("/m/missing").has_value());
+        EXPECT_EQ(f.fs.journal().dirtyCount(),
+                  live.size() - durable.size());
+        for (const std::string prefix : {"/", "/m/", "/n/", "/m/1"}) {
+            std::vector<std::string> want;
+            for (const auto &[path, ino] : live) {
+                (void)ino;
+                if (path.compare(0, prefix.size(), prefix) == 0)
+                    want.push_back(path);
+            }
+            ASSERT_EQ(f.fs.list(prefix), want) << prefix;
+        }
+        ASSERT_EQ(f.fs.fsck(), std::vector<std::string>{});
+    }
+
+    // Recovery keeps the Ino counter: no restored or new Ino collides.
+    f.fs.recover();
+    EXPECT_EQ(f.fs.create(f.cpu, "/after-recover"), next);
+}
+
+} // namespace
+
+TEST(FileSystem, NamespaceMatchesModel)
+{
+    for (const Personality personality :
+         {Personality::Ext4Dax, Personality::Nova}) {
+        for (const std::uint64_t seed : {1u, 2u, 424242u})
+            runNamespaceModel(personality, seed);
+    }
+}
+
+TEST(FileSystem, FsckReportsNamespaceMismatch)
+{
+    Fixture f;
+    const Ino a = f.fs.create(f.cpu, "/a");
+    f.fs.inode(a).path = "/b";
+    const auto problems = f.fs.fsck();
+    ASSERT_EQ(problems.size(), 2u);
+    EXPECT_EQ(problems[0], "name '/a' -> inode 1 with path '/b'");
+    EXPECT_EQ(problems[1], "inode 1 not reachable via its path");
+}
+
+// ---------------------------------------------------------------------
+// Journal commit order
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * A journal whose resolver records every snapshot, with the dirty set
+ * built out of order: marks, a duplicate mark, an erase (commitErase)
+ * and a re-mark of the erased Ino. Leaves {1, 3, 7, 9, 12} dirty.
+ */
+struct OrderFixture
+{
+    explicit OrderFixture(Personality personality)
+        : journal(personality, cm)
+    {
+        journal.setResolver([this](Ino ino) -> const Inode * {
+            snapshots.push_back(ino);
+            return &node;
+        });
+        for (const Ino ino : {Ino{9}, Ino{3}, Ino{7}, Ino{3}})
+            journal.markDirty(ino);
+        journal.commitErase(cpu, 7);
+        for (const Ino ino : {Ino{7}, Ino{12}, Ino{1}})
+            journal.markDirty(ino);
+    }
+
+    std::vector<Ino> committedInos() const
+    {
+        std::vector<Ino> out;
+        for (const auto &[ino, rec] : journal.committedImage()) {
+            (void)rec;
+            out.push_back(ino);
+        }
+        return out;
+    }
+
+    sim::CostModel cm;
+    Journal journal;
+    Inode node;
+    sim::Cpu cpu{nullptr, 0, 0};
+    std::vector<Ino> snapshots;
+};
+
+const std::vector<Ino> kOrderedDirty = {1, 3, 7, 9, 12};
+
+} // namespace
+
+TEST(JournalOrder, Ext4CommitSnapshotsEachDirtyInodeOnceAscending)
+{
+    OrderFixture f(Personality::Ext4Dax);
+    ASSERT_EQ(f.journal.dirtyCount(), kOrderedDirty.size());
+    f.journal.commit(f.cpu, 99); // clean ino: the transaction still goes
+    EXPECT_EQ(f.snapshots, kOrderedDirty);
+    EXPECT_EQ(f.journal.dirtyCount(), 0u);
+    EXPECT_EQ(f.journal.commits(), 2u); // the erase + one transaction
+}
+
+TEST(JournalOrder, Ext4CommitAllSnapshotsEachDirtyInodeOnceAscending)
+{
+    OrderFixture f(Personality::Ext4Dax);
+    f.journal.commitAll(f.cpu);
+    EXPECT_EQ(f.snapshots, kOrderedDirty);
+    EXPECT_EQ(f.journal.dirtyCount(), 0u);
+    EXPECT_EQ(f.journal.batchedInodes(), kOrderedDirty.size());
+}
+
+TEST(JournalOrder, NovaCommitAllFiresOneEventPerInodeAscending)
+{
+    {
+        OrderFixture f(Personality::Nova);
+        sim::FaultPlan counting;
+        f.journal.setFaultPlan(&counting);
+        f.journal.commitAll(f.cpu);
+        EXPECT_EQ(counting.eventsSeen(sim::FaultEvent::NovaCommit),
+                  kOrderedDirty.size());
+        EXPECT_EQ(f.snapshots, kOrderedDirty);
+        EXPECT_EQ(f.committedInos(), kOrderedDirty);
+        EXPECT_EQ(f.journal.dirtyCount(), 0u);
+    }
+    // Crashing at the k'th commit event leaves exactly the k lowest
+    // Inos durable: events fire in ascending Ino order, each before
+    // its own snapshot. The interrupted batch stays dirty.
+    for (std::uint64_t k = 0; k < kOrderedDirty.size(); k++) {
+        OrderFixture f(Personality::Nova);
+        sim::FaultPlan plan =
+            sim::FaultPlan::atKind(sim::FaultEvent::NovaCommit, k);
+        f.journal.setFaultPlan(&plan);
+        EXPECT_THROW(f.journal.commitAll(f.cpu), sim::CrashException);
+        EXPECT_EQ(f.committedInos(),
+                  std::vector<Ino>(kOrderedDirty.begin(),
+                                   kOrderedDirty.begin()
+                                       + static_cast<long>(k)));
+        EXPECT_EQ(f.journal.dirtyCount(), kOrderedDirty.size());
+    }
+}
+
+TEST(JournalOrder, DirtyListCompactsWithoutLosingFlags)
+{
+    // Many clears of a large dirty set: the count and every flag stay
+    // exact through compaction, and a later batch is still ascending.
+    OrderFixture f(Personality::Nova);
+    for (Ino ino = 100; ino < 1100; ino++)
+        f.journal.markDirty(ino);
+    for (Ino ino = 1099; ino >= 150; ino--)
+        f.journal.commit(f.cpu, ino);
+    f.journal.markDirty(1050);
+    ASSERT_EQ(f.journal.dirtyCount(), kOrderedDirty.size() + 51);
+    for (Ino ino = 100; ino < 1100; ino++)
+        ASSERT_EQ(f.journal.isDirty(ino), ino < 150 || ino == 1050) << ino;
+    f.snapshots.clear();
+    f.journal.commitAll(f.cpu);
+    EXPECT_TRUE(std::is_sorted(f.snapshots.begin(), f.snapshots.end()));
+    EXPECT_EQ(f.snapshots.size(), kOrderedDirty.size() + 51);
+    EXPECT_EQ(f.journal.dirtyCount(), 0u);
 }
 
 // ---------------------------------------------------------------------
